@@ -11,7 +11,9 @@ Three layers of guarantees:
   (including uneven ones) merges to the bit-identical full-range result.
 * **Golden JSON** -- the pair-based experiments (fig5, fig6, aging) and the
   sharded Monte Carlo table (table11) encode byte-identically to JSON
-  captured from the pre-array-native scalar implementation
+  captured from the pre-array-native scalar implementation, and the fast
+  fleet, substrate and circuit experiments to JSON captured before the
+  grouped fleet path and the scalar PUF toggles were removed
   (``tests/golden/*_quick.json``).
 """
 
@@ -516,9 +518,18 @@ class TestEvaluationCounterMetadata:
 
 class TestGoldenExperimentJSON:
     """Array-native + batched execution is byte-identical to the scalar-era
-    JSON captured from the pre-refactor implementation."""
+    JSON captured from the pre-refactor implementation.  The second row of
+    ids pins the fast experiments (fleet, substrate and circuit tables) to
+    JSON captured before the duplicate fleet/PUF code paths were removed."""
 
-    @pytest.mark.parametrize("experiment_id", ["fig5", "fig6", "aging", "table11"])
+    @pytest.mark.parametrize(
+        "experiment_id",
+        [
+            "fig5", "fig6", "aging", "table11",
+            "fleet-roc", "fleet-aging", "table1", "table2", "waveforms",
+            "table4", "fig7", "fig7-energy", "table6",
+        ],
+    )
     def test_quick_json_matches_golden(self, experiment_id):
         result = ExperimentJob(experiment_id=experiment_id, quick=True).run()
         payload = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
