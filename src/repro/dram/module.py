@@ -10,8 +10,10 @@ The multi-read entry points (:meth:`DRAMModule.sig_response_multi`,
 :meth:`DRAMModule.rp_response_multi`, and the counting-kernel
 :meth:`DRAMModule.rcd_filtered_response`) evaluate a whole filtered response
 in one pass -- per-chip profile memos and hoisted read state derived once per
-call, all per-read noise drawn from the supplied generators in the exact
-scalar order -- and are bit-identical to the retained scalar loops.
+call, all per-read noise drawn from the supplied generators in the same
+pass-major, chip-minor order as repeated single reads -- so they are
+bit-identical to looping the single-read primitives and filtering (the test
+suite keeps such loops as oracles).
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ class DRAMModule:
         """Filtered CODIC-sig response: ``passes`` reads, intersection kept.
 
         One-pass counting kernel for the multi-read evaluate hot path.  Noise
-        is drawn in exactly the scalar order -- pass-major, chip-minor, one
+        is drawn in exactly the single-read order -- pass-major, chip-minor, one
         generator per pass (repeat the same live generator to share one
         stream) -- with the per-chip weak-cell memo lookup and instability
         hoisted out of the read loop (:meth:`DRAMChip.sig_noise_state`).  The
@@ -302,7 +304,7 @@ class DRAMModule:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Rank-wide failure profile: offset cells + probabilities, memoized.
 
-        Chips with an empty profile are skipped entirely, matching the scalar
+        Chips with an empty profile are skipped entirely, matching the
         per-chip loops that return before consuming any noise draw for them.
         """
         key = (kind, segment.bank, segment.row, float(timing_ns), rank)
@@ -355,14 +357,20 @@ class DRAMModule:
         Counting kernel: with a supplied ``rng``, all per-chip per-read
         binomial failure-count draws fuse into one rank-wide
         ``rng.binomial`` over the memoized concatenated segment profile --
-        bit-identical to the per-chip loop because binomial sampling consumes
+        bit-identical to a per-chip loop because binomial sampling consumes
         the stream element-wise in array order.  Without a supplied ``rng``
-        every chip derives its own default noise stream, so the retained
-        scalar loop runs instead.
+        every chip derives its own default noise stream, which one fused draw
+        cannot reproduce, so the per-chip loop runs instead.
         """
         if rng is None:
-            return self.rcd_filtered_response_scalar(
-                segment, trcd_ns, reads, threshold, temperature_c, rng, rank
+            return self._aggregate(
+                [
+                    chip.rcd_filtered_response(
+                        segment.bank, segment.row, trcd_ns, reads, threshold,
+                        temperature_c,
+                    )
+                    for chip in self.rank_chips(rank)
+                ]
             )
         cells, probabilities = self._concat_profile("rcd", segment, trcd_ns, rank)
         if cells.size == 0:
@@ -373,35 +381,10 @@ class DRAMModule:
             shifted.clip(0.0, 1.0, out=shifted)
         else:
             # Profile probabilities are already clipped to [0.02, 0.98], so
-            # the scalar path's "+ 0.0 then clip" is a value-level no-op.
+            # the per-chip path's "+ 0.0 then clip" is a value-level no-op.
             shifted = probabilities
         counts = rng.binomial(reads, shifted)
         return cells[counts > threshold]
-
-    def rcd_filtered_response_scalar(
-        self,
-        segment: SegmentAddress,
-        trcd_ns: float,
-        reads: int,
-        threshold: int,
-        temperature_c: float = 30.0,
-        rng: np.random.Generator | None = None,
-        rank: int = 0,
-    ) -> np.ndarray:
-        """Scalar reference loop for :meth:`rcd_filtered_response`.
-
-        Retained verbatim (per-chip profile lookup, shift, binomial) as the
-        byte-identity reference behind ``REPRO_PUF_SCALAR=1``.
-        """
-        return self._aggregate(
-            [
-                chip.rcd_filtered_response(
-                    segment.bank, segment.row, trcd_ns, reads, threshold,
-                    temperature_c, rng,
-                )
-                for chip in self.rank_chips(rank)
-            ]
-        )
 
     def rp_response(
         self,
@@ -433,7 +416,7 @@ class DRAMModule:
         Because every reduced-tRP read draws exactly ``cells.size`` uniforms
         against a fixed effective-probability vector, all passes coalesce:
         with one shared generator the kernel makes a single
-        ``rng.random(passes * cells)`` draw (bit-identical to the scalar
+        ``rng.random(passes * cells)`` draw (bit-identical to the single-read
         pass-major/chip-minor order, since uniform fills split exactly at any
         boundary), and the intersection is ``fails.all(axis=0)`` over the
         (passes, cells) failure matrix -- no per-pass reduction at all.

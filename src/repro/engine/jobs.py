@@ -8,15 +8,16 @@ the same result.  The job kinds covering the repository today:
   in quick or paper-scale mode;
 * :class:`MonteCarloPointJob` wraps a single (variation, temperature) Monte
   Carlo sweep point so that the Table 11 style sweeps can fan out per point;
-* :class:`MonteCarloShardJob` is a contiguous sample range of one such point;
-* :class:`PUFPairsJob` / :class:`PUFPairsShardJob` are a batch (or a
-  contiguous pair range of a batch) of Jaccard pairs for one Figure 5/6 cell
+* :class:`PUFPairsJob` is a batch of Jaccard pairs for one Figure 5/6 cell
   or the aging study;
-* :class:`FleetTrafficJob` / :class:`FleetTrafficShardJob` replay a stream
-  (or a contiguous request range of a stream) of fleet authentication
-  traffic (:mod:`repro.fleet`);
-* :class:`FleetEnrollJob` / :class:`FleetEnrollShardJob` enroll a fleet (or
-  a contiguous device range of one) into the verifier's golden store.
+* :class:`FleetTrafficJob` replays a stream of fleet authentication traffic
+  (:mod:`repro.fleet`);
+* :class:`FleetEnrollJob` enrolls a fleet into the verifier's golden store.
+
+The last four are :class:`RangeJob` subclasses: their work is a count of
+independent units (samples, pairs, requests, devices), and one
+:class:`RangeShard` class covers a contiguous unit range ``[start, stop)``
+of any of them.
 
 Jobs whose work splits into independent units additionally implement the
 :class:`ShardedJob` protocol (``shard_jobs`` -> run each shard -> ``merge``),
@@ -119,6 +120,97 @@ def shard_ranges(total: int, shard_size: int) -> list[tuple[int, int]]:
     ]
 
 
+class RangeJob(ShardedJob):
+    """A sharded job whose work is ``total`` independent, index-addressed units.
+
+    Subclasses declare the wire ``shard_kind`` of their shards and the
+    ``total_field`` naming their unit count, and implement
+    :meth:`run_range`.  Sharding then needs no per-kind class: every shard is
+    a :class:`RangeShard` over this job.  Shard values encode with
+    :meth:`encode_range`/:meth:`decode_range`, which default to the job's own
+    ``encode``/``decode`` (a range value has the same shape as a whole one
+    unless the subclass says otherwise).
+    """
+
+    #: ``kind`` reported by this job's shards (cache keys, event streams).
+    shard_kind: str = "range-shard"
+    #: Config field holding the unit count; shards drop it from their config,
+    #: so growing the total re-uses every previously cached shard.
+    total_field: str = "total"
+
+    @property
+    def total(self) -> int:
+        """Number of units this job covers."""
+        return getattr(self, self.total_field)
+
+    def run_range(self, start: int, stop: int) -> Any:
+        """Value of units ``[start, stop)``."""
+        raise NotImplementedError
+
+    def run(self) -> Any:
+        return self.run_range(0, self.total)
+
+    def shard_jobs(self, shard_size: int) -> "list[Job] | None":
+        if shard_size >= self.total:
+            return None
+        return [
+            RangeShard(batch=self, start=start, stop=stop)
+            for start, stop in shard_ranges(self.total, shard_size)
+        ]
+
+    def encode_range(self, result: Any) -> dict[str, Any]:
+        """Encode a :meth:`run_range` value for the cache."""
+        return self.encode(result)
+
+    def decode_range(self, payload: dict[str, Any]) -> Any:
+        """Inverse of :meth:`encode_range`."""
+        return self.decode(payload)
+
+
+@dataclass(frozen=True)
+class RangeShard(Job):
+    """Units ``[start, stop)`` of one :class:`RangeJob`.
+
+    Wraps the parent job verbatim so its parameters have one source of
+    truth.  The config is the parent's minus its total unit count, plus the
+    range: a shard's value depends on its range alone, so re-running a job
+    with a larger total re-uses every cached shard and computes only the
+    new tail.
+    """
+
+    batch: RangeJob
+    start: int
+    stop: int
+
+    @property
+    def kind(self) -> str:
+        return self.batch.shard_kind
+
+    @property
+    def job_id(self) -> str:
+        return f"{self.batch.job_id}[{self.start}:{self.stop}]"
+
+    @property
+    def config(self) -> dict[str, Any]:
+        config = dict(self.batch.config)
+        del config[self.batch.total_field]
+        config["start"] = self.start
+        config["stop"] = self.stop
+        return config
+
+    def run(self) -> Any:
+        return self.batch.run_range(self.start, self.stop)
+
+    def shard_range(self) -> tuple[int, int]:
+        return (self.start, self.stop)
+
+    def encode(self, result: Any) -> dict[str, Any]:
+        return self.batch.encode_range(result)
+
+    def decode(self, payload: dict[str, Any]) -> Any:
+        return self.batch.decode_range(payload)
+
+
 @dataclass(frozen=True)
 class ExperimentJob(ShardedJob):
     """One registry experiment (a paper table or figure) in one mode.
@@ -175,7 +267,7 @@ class ExperimentJob(ShardedJob):
 
 
 @dataclass(frozen=True)
-class MonteCarloPointJob(ShardedJob):
+class MonteCarloPointJob(RangeJob):
     """One (variation, temperature) point of a Monte Carlo sweep."""
 
     variation_percent: float
@@ -184,6 +276,8 @@ class MonteCarloPointJob(ShardedJob):
     seed: int = 12345
 
     kind = "montecarlo-point"
+    shard_kind = "montecarlo-shard"
+    total_field = "samples"
 
     @property
     def job_id(self) -> str:
@@ -204,6 +298,16 @@ class MonteCarloPointJob(ShardedJob):
         engine = MonteCarloEngine(seed=self.seed, samples=self.samples)
         return engine.run_point(self.variation_percent, self.temperature_c)
 
+    def run_range(self, start: int, stop: int) -> int:
+        from repro.circuit.montecarlo import MonteCarloEngine
+
+        # The canonical block streams make a range's flip count a function
+        # of the range alone (never of the point's total sample count).
+        engine = MonteCarloEngine(seed=self.seed)
+        return engine.shard_flips(
+            self.variation_percent, self.temperature_c, start, stop
+        )
+
     def shard_jobs(self, shard_size: int) -> list[Job] | None:
         from repro.circuit.montecarlo import MC_SAMPLE_BLOCK
 
@@ -212,18 +316,7 @@ class MonteCarloPointJob(ShardedJob):
         # bit-identity (per-sample values are index-addressed) and for cache
         # reuse (alignment depends only on shard_size).
         aligned = max(shard_size // MC_SAMPLE_BLOCK, 1) * MC_SAMPLE_BLOCK
-        if aligned >= self.samples:
-            return None
-        return [
-            MonteCarloShardJob(
-                variation_percent=self.variation_percent,
-                temperature_c=self.temperature_c,
-                start=start,
-                stop=stop,
-                seed=self.seed,
-            )
-            for start, stop in shard_ranges(self.samples, aligned)
-        ]
+        return super().shard_jobs(aligned)
 
     def merge(self, values: list[Any]) -> Any:
         from repro.circuit.montecarlo import MonteCarloResult
@@ -248,57 +341,10 @@ class MonteCarloPointJob(ShardedJob):
 
         return MonteCarloResult(**payload)
 
-
-@dataclass(frozen=True)
-class MonteCarloShardJob(Job):
-    """Samples ``[start, stop)`` of one Monte Carlo sweep point.
-
-    The config deliberately excludes the point's total sample count: the
-    canonical block streams make a shard's flip count a function of its range
-    alone, so re-running a sweep with more samples re-uses every previously
-    cached shard and only computes the new tail.
-    """
-
-    variation_percent: float
-    temperature_c: float
-    start: int
-    stop: int
-    seed: int = 12345
-
-    kind = "montecarlo-shard"
-
-    @property
-    def job_id(self) -> str:
-        return (
-            f"mc[{self.variation_percent:g}%,{self.temperature_c:g}C]"
-            f"[{self.start}:{self.stop}]"
-        )
-
-    @property
-    def config(self) -> dict[str, Any]:
-        return {
-            "variation_percent": self.variation_percent,
-            "temperature_c": self.temperature_c,
-            "start": self.start,
-            "stop": self.stop,
-            "seed": self.seed,
-        }
-
-    def run(self) -> Any:
-        from repro.circuit.montecarlo import MonteCarloEngine
-
-        engine = MonteCarloEngine(seed=self.seed)
-        return engine.shard_flips(
-            self.variation_percent, self.temperature_c, self.start, self.stop
-        )
-
-    def shard_range(self) -> tuple[int, int]:
-        return (self.start, self.stop)
-
-    def encode(self, result: Any) -> dict[str, Any]:
+    def encode_range(self, result: Any) -> dict[str, Any]:
         return {"bit_flips": int(result)}
 
-    def decode(self, payload: dict[str, Any]) -> Any:
+    def decode_range(self, payload: dict[str, Any]) -> Any:
         return int(payload["bit_flips"])
 
 
@@ -313,58 +359,6 @@ def _paper_population():
     from repro.dram.population import paper_population
 
     return paper_population()
-
-
-def _run_puf_pairs(spec: "PUFPairsJob", start: int, stop: int) -> dict[str, list[float]]:
-    """Evaluate pairs ``[start, stop)`` of one PUF pair batch."""
-    from repro.experiments.puf_experiments import PUF_FACTORIES
-    from repro.puf.evaluation import PUFEvaluator
-
-    population = _paper_population()
-    if spec.voltage == "all":
-        modules = population.modules
-    elif spec.voltage in ("ddr3", "ddr3l"):
-        modules = population.modules_by_voltage(spec.voltage == "ddr3l")
-    else:
-        raise ValueError(
-            f"unknown voltage class {spec.voltage!r}; expected all/ddr3/ddr3l"
-        )
-    try:
-        factory = PUF_FACTORIES[spec.puf]
-    except KeyError:
-        raise KeyError(
-            f"unknown PUF {spec.puf!r}; known PUFs: {sorted(PUF_FACTORIES)}"
-        ) from None
-    evaluator = PUFEvaluator(
-        modules,
-        factory,
-        pairs=spec.pairs,  # the batch total, so range checks stay meaningful
-        segment_bytes=spec.segment_bytes,
-        seed=spec.seed,
-    )
-    # The *_shard methods route through the batched pair kernels
-    # (quality_pairs_batch and friends); .values converts the float64 result
-    # arrays to the JSON-safe lists the cache persists, with floats identical
-    # to the scalar kernel loop.
-    if spec.mode == "quality":
-        intra, inter = evaluator.quality_shard(
-            start, stop, temperature_c=spec.base_temperature_c
-        )
-        return {"intra": intra.values, "inter": inter.values}
-    if spec.mode == "temperature":
-        distribution = evaluator.temperature_shard(
-            spec.temperature_delta_c, start, stop,
-            base_temperature_c=spec.base_temperature_c,
-        )
-        return {"intra": distribution.values}
-    if spec.mode == "aging":
-        distribution = evaluator.aging_shard(
-            start, stop, aging_hours=spec.aging_hours
-        )
-        return {"intra": distribution.values}
-    raise ValueError(
-        f"unknown mode {spec.mode!r}; expected quality/temperature/aging"
-    )
 
 
 def _decode_pair_values(payload: dict[str, Any]) -> dict[str, list[float]]:
@@ -403,7 +397,7 @@ def _decode_enroll_payload(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 @dataclass(frozen=True)
-class PUFPairsJob(ShardedJob):
+class PUFPairsJob(RangeJob):
     """A batch of Jaccard pairs: one Figure 5/6 cell or the aging study.
 
     The result value is a dict of Jaccard index lists in pair-index order --
@@ -423,6 +417,8 @@ class PUFPairsJob(ShardedJob):
     segment_bytes: int = 8192
 
     kind = "puf-pairs"
+    shard_kind = "puf-pairs-shard"
+    total_field = "pairs"
 
     @property
     def job_id(self) -> str:
@@ -443,23 +439,59 @@ class PUFPairsJob(ShardedJob):
             "segment_bytes": self.segment_bytes,
         }
 
-    def run(self) -> Any:
-        return _run_puf_pairs(self, 0, self.pairs)
+    def run_range(self, start: int, stop: int) -> Any:
+        """Evaluate pairs ``[start, stop)`` of one PUF pair batch."""
+        from repro.experiments.puf_experiments import PUF_FACTORIES
+        from repro.puf.evaluation import PUFEvaluator
 
-    def shard_jobs(self, shard_size: int) -> list[Job] | None:
-        if shard_size >= self.pairs:
-            return None
-        return [
-            PUFPairsShardJob(batch=self, start=start, stop=stop)
-            for start, stop in shard_ranges(self.pairs, shard_size)
-        ]
+        population = _paper_population()
+        if self.voltage == "all":
+            modules = population.modules
+        elif self.voltage in ("ddr3", "ddr3l"):
+            modules = population.modules_by_voltage(self.voltage == "ddr3l")
+        else:
+            raise ValueError(
+                f"unknown voltage class {self.voltage!r}; expected all/ddr3/ddr3l"
+            )
+        try:
+            factory = PUF_FACTORIES[self.puf]
+        except KeyError:
+            raise KeyError(
+                f"unknown PUF {self.puf!r}; known PUFs: {sorted(PUF_FACTORIES)}"
+            ) from None
+        evaluator = PUFEvaluator(
+            modules,
+            factory,
+            pairs=self.pairs,  # the batch total, so range checks stay meaningful
+            segment_bytes=self.segment_bytes,
+            seed=self.seed,
+        )
+        # The *_shard methods route through the batched pair kernels
+        # (quality_pairs_batch and friends); .values converts the float64 result
+        # arrays to the JSON-safe lists the cache persists, with floats identical
+        # to the scalar kernel loop.
+        if self.mode == "quality":
+            intra, inter = evaluator.quality_shard(
+                start, stop, temperature_c=self.base_temperature_c
+            )
+            return {"intra": intra.values, "inter": inter.values}
+        if self.mode == "temperature":
+            distribution = evaluator.temperature_shard(
+                self.temperature_delta_c, start, stop,
+                base_temperature_c=self.base_temperature_c,
+            )
+            return {"intra": distribution.values}
+        if self.mode == "aging":
+            distribution = evaluator.aging_shard(
+                start, stop, aging_hours=self.aging_hours
+            )
+            return {"intra": distribution.values}
+        raise ValueError(
+            f"unknown mode {self.mode!r}; expected quality/temperature/aging"
+        )
 
     def merge(self, values: list[Any]) -> Any:
-        merged: dict[str, list[float]] = {}
-        for value in values:
-            for key, part in value.items():
-                merged.setdefault(key, []).extend(part)
-        return merged
+        return _merge_keyed_lists(values)
 
     def encode(self, result: Any) -> dict[str, Any]:
         return result
@@ -485,26 +517,8 @@ def _fleet_runtime(fleet_config):
     return fleet, FleetVerifier(fleet)
 
 
-def _run_fleet_traffic(
-    spec: "FleetTrafficJob", start: int, stop: int
-) -> dict[str, list[float]]:
-    """Replay requests ``[start, stop)`` of one fleet traffic stream."""
-    from repro.fleet.traffic import authenticate_block
-
-    fleet, verifier = _fleet_runtime(spec.fleet_config())
-    if spec.warm_golden is not None:
-        # Install the pre-enrolled golden payload into the memoized verifier
-        # (idempotently: slots other shards already warmed or lazily enrolled
-        # are skipped), so this block evaluates no enrollment responses.
-        verifier.warm(spec.warm_golden)
-    genuine, impostor = authenticate_block(
-        fleet, verifier, spec.traffic_config(), start, stop
-    )
-    return {"genuine": genuine.tolist(), "impostor": impostor.tolist()}
-
-
 @dataclass(frozen=True)
-class FleetTrafficJob(ShardedJob):
+class FleetTrafficJob(RangeJob):
     """One authentication traffic stream replayed against one fleet.
 
     The result value is ``{"genuine": [...], "impostor": [...]}``: the
@@ -530,6 +544,8 @@ class FleetTrafficJob(ShardedJob):
     warm_golden: Any = field(default=None, compare=False, repr=False)
 
     kind = "fleet-traffic"
+    shard_kind = "fleet-traffic-shard"
+    total_field = "requests"
 
     def fleet_config(self):
         """The :class:`repro.fleet.devices.FleetConfig` this job addresses."""
@@ -580,16 +596,20 @@ class FleetTrafficJob(ShardedJob):
             "reenroll_hours": self.reenroll_hours,
         }
 
-    def run(self) -> Any:
-        return _run_fleet_traffic(self, 0, self.requests)
+    def run_range(self, start: int, stop: int) -> Any:
+        """Replay requests ``[start, stop)`` of one fleet traffic stream."""
+        from repro.fleet.traffic import authenticate_block
 
-    def shard_jobs(self, shard_size: int) -> list[Job] | None:
-        if shard_size >= self.requests:
-            return None
-        return [
-            FleetTrafficShardJob(batch=self, start=start, stop=stop)
-            for start, stop in shard_ranges(self.requests, shard_size)
-        ]
+        fleet, verifier = _fleet_runtime(self.fleet_config())
+        if self.warm_golden is not None:
+            # Install the pre-enrolled golden payload into the memoized verifier
+            # (idempotently: slots other shards already warmed or lazily enrolled
+            # are skipped), so this block evaluates no enrollment responses.
+            verifier.warm(self.warm_golden)
+        genuine, impostor = authenticate_block(
+            fleet, verifier, self.traffic_config(), start, stop
+        )
+        return {"genuine": genuine.tolist(), "impostor": impostor.tolist()}
 
     def merge(self, values: list[Any]) -> Any:
         return _merge_keyed_lists(values)
@@ -602,67 +622,7 @@ class FleetTrafficJob(ShardedJob):
 
 
 @dataclass(frozen=True)
-class FleetTrafficShardJob(Job):
-    """Requests ``[start, stop)`` of one fleet traffic stream.
-
-    Wraps the stream job verbatim; the config inherits everything from the
-    stream *except* its total request count (like the other shard kinds), so
-    replaying a longer stream re-uses every cached block.
-    """
-
-    batch: FleetTrafficJob
-    start: int
-    stop: int
-
-    kind = "fleet-traffic-shard"
-
-    @property
-    def job_id(self) -> str:
-        return f"{self.batch.job_id}[{self.start}:{self.stop}]"
-
-    @property
-    def config(self) -> dict[str, Any]:
-        config = dict(self.batch.config)
-        del config["requests"]  # block results do not depend on the total
-        config["start"] = self.start
-        config["stop"] = self.stop
-        return config
-
-    def run(self) -> Any:
-        return _run_fleet_traffic(self.batch, self.start, self.stop)
-
-    def shard_range(self) -> tuple[int, int]:
-        return (self.start, self.stop)
-
-    def encode(self, result: Any) -> dict[str, Any]:
-        return result
-
-    def decode(self, payload: dict[str, Any]) -> Any:
-        return _decode_pair_values(payload)
-
-
-def _run_fleet_enroll(
-    spec: "FleetEnrollJob", start: int, stop: int
-) -> dict[str, Any]:
-    """Enroll devices ``[start, stop)`` into a fresh golden-store block.
-
-    The value is the store's *arrays* form (``GoldenStore.to_arrays``): it
-    stays numpy end to end through merge and the warm-store handoff into
-    traffic workers, and is only listified by ``encode`` at the JSON/cache
-    boundary.
-    """
-    from repro.fleet.verifier import FleetVerifier
-
-    # A fresh store per block: the payload must contain exactly this device
-    # range, while the memoized traffic verifier accumulates arbitrary slots.
-    fleet, _ = _fleet_runtime(spec.fleet_config())
-    verifier = FleetVerifier(fleet)
-    verifier.enroll_range(start, stop)
-    return verifier.store.to_arrays()
-
-
-@dataclass(frozen=True)
-class FleetEnrollJob(ShardedJob):
+class FleetEnrollJob(RangeJob):
     """Fleet-wide enrollment into the verifier's array-native golden store.
 
     The result value is the :meth:`repro.fleet.verifier.GoldenStore.
@@ -670,7 +630,7 @@ class FleetEnrollJob(ShardedJob):
     order; device ranges merge by array concatenation, so enrollment
     partitions across the pool bit-identically to a serial pass.  ``encode``
     listifies the arrays for the JSON cache; in-process consumers (the
-    warm-store handoff into :class:`FleetTrafficShardJob` workers) never see
+    warm-store handoff into fleet traffic shard workers) never see
     a Python-int list copy.
     """
 
@@ -680,6 +640,8 @@ class FleetEnrollJob(ShardedJob):
     challenges_per_device: int = 4
 
     kind = "fleet-enroll"
+    shard_kind = "fleet-enroll-shard"
+    total_field = "devices"
 
     def fleet_config(self):
         """The :class:`repro.fleet.devices.FleetConfig` this job enrolls."""
@@ -705,16 +667,22 @@ class FleetEnrollJob(ShardedJob):
             "challenges_per_device": self.challenges_per_device,
         }
 
-    def run(self) -> Any:
-        return _run_fleet_enroll(self, 0, self.devices)
+    def run_range(self, start: int, stop: int) -> Any:
+        """Enroll devices ``[start, stop)`` into a fresh golden-store block.
 
-    def shard_jobs(self, shard_size: int) -> list[Job] | None:
-        if shard_size >= self.devices:
-            return None
-        return [
-            FleetEnrollShardJob(batch=self, start=start, stop=stop)
-            for start, stop in shard_ranges(self.devices, shard_size)
-        ]
+        The value is the store's *arrays* form (``GoldenStore.to_arrays``): it
+        stays numpy end to end through merge and the warm-store handoff into
+        traffic workers, and is only listified by ``encode`` at the JSON/cache
+        boundary.
+        """
+        from repro.fleet.verifier import FleetVerifier
+
+        # A fresh store per block: the payload must contain exactly this device
+        # range, while the memoized traffic verifier accumulates arbitrary slots.
+        fleet, _ = _fleet_runtime(self.fleet_config())
+        verifier = FleetVerifier(fleet)
+        verifier.enroll_range(start, stop)
+        return verifier.store.to_arrays()
 
     def merge(self, values: list[Any]) -> Any:
         from repro.fleet.verifier import GoldenStore
@@ -726,84 +694,3 @@ class FleetEnrollJob(ShardedJob):
 
     def decode(self, payload: dict[str, Any]) -> Any:
         return _decode_enroll_payload(payload)
-
-
-@dataclass(frozen=True)
-class FleetEnrollShardJob(Job):
-    """Devices ``[start, stop)`` of one fleet enrollment.
-
-    The config drops the fleet's total device count: a device's golden
-    responses depend only on ``(fleet_seed, device_id)``, so growing the
-    fleet re-uses every previously cached enrollment block.
-    """
-
-    batch: FleetEnrollJob
-    start: int
-    stop: int
-
-    kind = "fleet-enroll-shard"
-
-    @property
-    def job_id(self) -> str:
-        return f"{self.batch.job_id}[{self.start}:{self.stop}]"
-
-    @property
-    def config(self) -> dict[str, Any]:
-        config = dict(self.batch.config)
-        del config["devices"]  # block results do not depend on the total
-        config["start"] = self.start
-        config["stop"] = self.stop
-        return config
-
-    def run(self) -> Any:
-        return _run_fleet_enroll(self.batch, self.start, self.stop)
-
-    def shard_range(self) -> tuple[int, int]:
-        return (self.start, self.stop)
-
-    def encode(self, result: Any) -> dict[str, Any]:
-        return _encode_enroll_payload(result)
-
-    def decode(self, payload: dict[str, Any]) -> Any:
-        return _decode_enroll_payload(payload)
-
-
-@dataclass(frozen=True)
-class PUFPairsShardJob(Job):
-    """Pairs ``[start, stop)`` of one PUF pair batch.
-
-    Wraps the parent batch job verbatim so batch parameters have one source
-    of truth.  The config inherits everything from the batch *except* its
-    total pair count (like :class:`MonteCarloShardJob`), so growing a study
-    re-uses every cached shard.
-    """
-
-    batch: PUFPairsJob
-    start: int
-    stop: int
-
-    kind = "puf-pairs-shard"
-
-    @property
-    def job_id(self) -> str:
-        return f"{self.batch.job_id}[{self.start}:{self.stop}]"
-
-    @property
-    def config(self) -> dict[str, Any]:
-        config = dict(self.batch.config)
-        del config["pairs"]  # shard results do not depend on the batch total
-        config["start"] = self.start
-        config["stop"] = self.stop
-        return config
-
-    def run(self) -> Any:
-        return _run_puf_pairs(self.batch, self.start, self.stop)
-
-    def shard_range(self) -> tuple[int, int]:
-        return (self.start, self.stop)
-
-    def encode(self, result: Any) -> dict[str, Any]:
-        return result
-
-    def decode(self, payload: dict[str, Any]) -> Any:
-        return _decode_pair_values(payload)

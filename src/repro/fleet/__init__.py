@@ -29,11 +29,9 @@ from repro.fleet.devices import (
 )
 from repro.fleet.traffic import (
     MAX_IMPOSTOR_REDRAWS,
-    SCALAR_ENV_VAR,
     TrafficConfig,
     TrafficSummary,
     authenticate_block,
-    authenticate_block_scalar,
     authenticate_request,
 )
 from repro.fleet.verifier import FleetVerifier, GoldenStore
@@ -41,7 +39,6 @@ from repro.fleet.verifier import FleetVerifier, GoldenStore
 __all__ = [
     "FLEET_PUF_FACTORIES",
     "MAX_IMPOSTOR_REDRAWS",
-    "SCALAR_ENV_VAR",
     "DeviceFleet",
     "FleetConfig",
     "FleetDevice",
@@ -50,6 +47,5 @@ __all__ = [
     "TrafficConfig",
     "TrafficSummary",
     "authenticate_block",
-    "authenticate_block_scalar",
     "authenticate_request",
 ]

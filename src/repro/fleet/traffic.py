@@ -26,33 +26,18 @@ golden response is refreshed every ``R`` hours, so only the *residual* age
 one :func:`repro.puf.evaluation.aging_pair` uses: a residual temperature
 shift of ``min(10, 0.25 * hours)`` degrees).
 
-Execution: :func:`authenticate_block` replays a block in two phases, exactly
-like the PR 3 pair kernels.  The **plan phase** walks the block once and
-makes every scalar draw (device, challenge index, impostor flag, jitter,
-age, impostor redraws) on each request's own stream, in the scalar kernel's
-draw order, retaining the live generator.  The **grouped evaluation phase**
-then sorts the planned requests by presenter device, enrolls missing goldens
-and evaluates each device's candidate responses in one pass over a single
-memoized :class:`~repro.fleet.devices.FleetDevice` (amortizing device
-construction, chip profile memos and challenge materialization), and finally
-computes every Jaccard similarity in one batched kernel against gathered
-:class:`~repro.fleet.verifier.GoldenStore` slices before scattering results
-back to request-index order.  Because streams are per-request and PUF
-evaluation never mutates device state, regrouping is invisible: the batched
-block is bit-identical to the scalar reference loop, which is kept as
-:func:`authenticate_block_scalar` and can be forced process-wide with
-``REPRO_FLEET_SCALAR=1`` (how CI proves byte-identity end to end).
-
-Per-request PUF evaluation inside the grouped phase (and golden enrollment)
-runs the multi-read module kernels of :mod:`repro.dram.module` -- each
-``device.evaluate`` call is one counting kernel over a memoized segment
-profile instead of a per-read Python loop (``REPRO_PUF_SCALAR=1`` forces the
-scalar reference loops there, independently of ``REPRO_FLEET_SCALAR``).
+Execution: :func:`authenticate_block` replays a block as a plain loop of
+:func:`authenticate_request` calls, one request at a time in index order.
+Each request's PUF evaluation (and any lazy golden enrollment it triggers)
+runs the multi-read module kernels of :mod:`repro.dram.module`, so the loop
+itself is never the cost centre.  With telemetry collection enabled every
+request is timed whole -- provisioning, lazy enrollment, evaluation and
+scoring -- into the ``fleet_auth_request_seconds`` histogram.
 """
 
 from __future__ import annotations
 
-import os
+import contextlib
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -62,7 +47,6 @@ import numpy as np
 from repro import telemetry
 from repro.fleet.devices import DeviceFleet
 from repro.fleet.verifier import FleetVerifier
-from repro.puf.positions import concat_position_arrays
 
 #: Bound on the impostor-device redraw loop (mirrors
 #: :data:`repro.puf.evaluation.MAX_INTER_CHALLENGE_REDRAWS`).
@@ -178,15 +162,22 @@ def authenticate_request(
     return is_impostor, verifier.similarity(device_id, challenge_index, response)
 
 
-#: Environment switch forcing every block through the scalar reference loop
-#: (CI compares the two paths byte-for-byte through the full CLI).
-SCALAR_ENV_VAR = "REPRO_FLEET_SCALAR"
+def authenticate_block(
+    fleet: DeviceFleet,
+    verifier: FleetVerifier,
+    traffic: TrafficConfig,
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay requests ``[start, stop)``: ``(genuine, impostor)`` similarities.
 
-
-def _check_block(
-    fleet: DeviceFleet, traffic: TrafficConfig, start: int, stop: int
-) -> None:
-    """Shared eager validation of one request block (both execution paths)."""
+    Each returned ``float64`` array keeps its category's request-index order,
+    so concatenating block results (in block order) reproduces the full
+    stream's arrays exactly.  With telemetry collection enabled each request
+    is timed whole (one clock pair per request) and the block is wrapped in a
+    ``fleet.auth_block`` span; timing never touches the RNG streams, so the
+    recorded similarities are identical either way.
+    """
     if not 0 <= start <= stop <= traffic.requests:
         raise ValueError(
             f"invalid request range [{start}, {stop}) for "
@@ -199,213 +190,25 @@ def _check_block(
         raise ValueError(
             "impostor traffic requires a fleet of at least two devices"
         )
-
-
-@dataclass
-class _BlockPlan:
-    """All scalar draws of one request block, in request order.
-
-    ``rngs[i]`` is request ``start + i``'s live generator, positioned exactly
-    where the scalar kernel would hand it to ``presenter.evaluate`` -- the
-    plan phase made precisely the draws :func:`authenticate_request` makes,
-    in the same order, on the same stream.
-    """
-
-    device_ids: np.ndarray
-    challenge_indices: np.ndarray
-    impostor_flags: np.ndarray
-    presenter_ids: np.ndarray
-    temperatures: np.ndarray
-    rngs: list
-
-    @property
-    def size(self) -> int:
-        return len(self.rngs)
-
-
-def _plan_block(
-    fleet: DeviceFleet, traffic: TrafficConfig, start: int, stop: int
-) -> _BlockPlan:
-    """Plan phase: make every scalar draw for requests ``[start, stop)``."""
-    config = fleet.config
-    count = stop - start
-    device_ids = np.empty(count, dtype=np.int64)
-    challenge_indices = np.empty(count, dtype=np.int64)
-    impostor_flags = np.zeros(count, dtype=bool)
-    presenter_ids = np.empty(count, dtype=np.int64)
-    temperatures = np.empty(count, dtype=np.float64)
-    rngs: list = [None] * count
-    for position in range(count):
-        rng = fleet.traffic_rng(start + position)
-        device_id = int(rng.integers(0, config.devices))
-        challenge_index = int(rng.integers(0, config.challenges_per_device))
-        is_impostor = bool(rng.random() < traffic.impostor_ratio)
-        jitter = float(
-            rng.uniform(-traffic.temperature_jitter_c, traffic.temperature_jitter_c)
-        )
-        age_hours = float(rng.uniform(0.0, traffic.aging_horizon_hours))
-        if traffic.reenroll_hours > 0.0:
-            age_hours = age_hours % traffic.reenroll_hours
-        drift = min(AGING_DRIFT_CAP_C, AGING_DRIFT_C_PER_HOUR * age_hours)
-        if is_impostor:
-            presenter_id = int(rng.integers(0, config.devices))
-            redraws = 0
-            while presenter_id == device_id:
-                redraws += 1
-                if redraws > MAX_IMPOSTOR_REDRAWS:
-                    raise ValueError(
-                        "cannot draw a distinct impostor device after "
-                        f"{MAX_IMPOSTOR_REDRAWS} attempts; the request stream "
-                        "is broken"
-                    )
-                presenter_id = int(rng.integers(0, config.devices))
-        else:
-            presenter_id = device_id
-        device_ids[position] = device_id
-        challenge_indices[position] = challenge_index
-        impostor_flags[position] = is_impostor
-        presenter_ids[position] = presenter_id
-        temperatures[position] = config.enroll_temperature_c + jitter + drift
-        rngs[position] = rng
-    return _BlockPlan(
-        device_ids=device_ids,
-        challenge_indices=challenge_indices,
-        impostor_flags=impostor_flags,
-        presenter_ids=presenter_ids,
-        temperatures=temperatures,
-        rngs=rngs,
-    )
-
-
-def _evaluate_block(
-    fleet: DeviceFleet,
-    verifier: FleetVerifier,
-    plan: _BlockPlan,
-    latency: "telemetry.Histogram | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grouped evaluation phase: candidates by presenter, one batched Jaccard.
-
-    One ascending pass over every device the block touches: a device's
-    missing golden slots are enrolled and its candidate responses evaluated
-    while the single memoized :class:`~repro.fleet.devices.FleetDevice` is
-    in hand.  When ``latency`` is given, each evaluation group is timed with
-    one clock pair and its mean is attributed to every request in the group
-    (histogram counts still sum to the request count).
-    """
-    count = plan.size
-    # Missing golden slots grouped by target device, in first-touch order.
-    missing: dict[int, list[int]] = {}
-    store = verifier.store
-    seen: set = set()
-    for position in range(count):
-        key = (int(plan.device_ids[position]), int(plan.challenge_indices[position]))
-        if key not in seen and key not in store:
-            seen.add(key)
-            missing.setdefault(key[0], []).append(key[1])
-    # Candidate evaluations grouped by presenter device, ascending request
-    # order within each group (streams are independent, so cross-request
-    # evaluation order is free; ascending keeps the pass deterministic).
-    by_presenter: dict[int, list[int]] = {}
-    for position in range(count):
-        by_presenter.setdefault(int(plan.presenter_ids[position]), []).append(position)
-    candidates: list = [None] * count
-    for device_id in sorted(set(missing) | set(by_presenter)):
-        for challenge_index in missing.get(device_id, ()):
-            verifier.enroll(device_id, challenge_index)
-        group = by_presenter.get(device_id)
-        if not group:
-            continue
-        device = fleet.device(device_id)
-        group_start = time.perf_counter() if latency is not None else 0.0
-        for position in group:
-            challenge = fleet.challenge(
-                int(plan.device_ids[position]), int(plan.challenge_indices[position])
-            )
-            response = device.evaluate(
-                challenge, float(plan.temperatures[position]), rng=plan.rngs[position]
-            )
-            candidates[position] = response.position_array
-        if latency is not None:
-            latency.observe_many(
-                (time.perf_counter() - group_start) / len(group), len(group)
-            )
-    keys = list(zip(plan.device_ids.tolist(), plan.challenge_indices.tolist()))
-    buffer, offsets = concat_position_arrays(candidates)
-    similarities = verifier.similarity_batch(keys, buffer, offsets)
-    flags = plan.impostor_flags
-    return similarities[~flags], similarities[flags]
-
-
-def authenticate_block(
-    fleet: DeviceFleet,
-    verifier: FleetVerifier,
-    traffic: TrafficConfig,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replay requests ``[start, stop)``: ``(genuine, impostor)`` similarities.
-
-    Each returned ``float64`` array keeps its category's request-index order,
-    so concatenating block results (in block order) reproduces the full
-    stream's arrays exactly.  Runs the plan + grouped-evaluation kernel
-    (bit-identical to :func:`authenticate_block_scalar`, which
-    ``REPRO_FLEET_SCALAR=1`` forces instead).
-    """
-    if os.environ.get(SCALAR_ENV_VAR) == "1":
-        return authenticate_block_scalar(fleet, verifier, traffic, start, stop)
-    _check_block(fleet, traffic, start, stop)
-    plan = _plan_block(fleet, traffic, start, stop)
-    if telemetry.collection_enabled():
-        # Service-grade latency, amortized: the collection gate is checked
-        # once per block and each evaluation group is timed with one clock
-        # pair (not one per request).  Timing never touches the RNG streams,
-        # so recorded similarities are bit-identical to the untimed path.
-        reg = telemetry.registry()
-        latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
-        with telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop):
-            genuine, impostor = _evaluate_block(fleet, verifier, plan, latency=latency)
-        reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
-        return genuine, impostor
-    return _evaluate_block(fleet, verifier, plan)
-
-
-def authenticate_block_scalar(
-    fleet: DeviceFleet,
-    verifier: FleetVerifier,
-    traffic: TrafficConfig,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar reference replay of requests ``[start, stop)``.
-
-    The pre-batch per-request loop, kept as the executable specification of
-    :func:`authenticate_block`: the batched kernel must reproduce this
-    output bit-for-bit (tests compare both paths; CI replays the whole fleet
-    CLI under ``REPRO_FLEET_SCALAR=1`` against the batched run).
-    """
-    _check_block(fleet, traffic, start, stop)
     genuine: list[float] = []
     impostor: list[float] = []
+    latency = None
+    scope = contextlib.nullcontext()
     if telemetry.collection_enabled():
-        # The scalar path keeps per-request timing (one clock pair per
-        # request) -- it is the reference, not the hot path.
         reg = telemetry.registry()
         latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
-        with telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop):
-            for index in range(start, stop):
-                t0 = time.perf_counter()
-                is_impostor, similarity = authenticate_request(
-                    fleet, verifier, traffic, index
-                )
-                latency.observe(time.perf_counter() - t0)
-                (impostor if is_impostor else genuine).append(similarity)
-        reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
-    else:
+        scope = telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop)
+    with scope:
         for index in range(start, stop):
+            t0 = time.perf_counter()
             is_impostor, similarity = authenticate_request(
                 fleet, verifier, traffic, index
             )
+            if latency is not None:
+                latency.observe(time.perf_counter() - t0)
             (impostor if is_impostor else genuine).append(similarity)
+    if latency is not None:
+        reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
     return (
         np.asarray(genuine, dtype=np.float64),
         np.asarray(impostor, dtype=np.float64),

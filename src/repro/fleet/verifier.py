@@ -15,8 +15,12 @@ the verifier can enroll **lazily**: a traffic shard that authenticates
 against device 8231 materializes that device's golden responses on first use
 and still produces exactly the values a fleet-wide eager enrollment would
 have stored.  Eager enrollment (:meth:`FleetVerifier.enroll_range`) exists
-for the device-partitioned :class:`~repro.engine.jobs.FleetEnrollJob` and
-returns its block as a JSON-safe payload that merges by concatenation.
+for the device-partitioned :class:`~repro.engine.jobs.FleetEnrollJob`, whose
+blocks travel as the store's one payload form: the numpy arrays of
+:meth:`GoldenStore.to_arrays`, merged by concatenation
+(:meth:`GoldenStore.merge_arrays`) and installed with
+:meth:`GoldenStore.install_arrays`.  Only the engine's cache encoder turns
+them into lists.
 """
 
 from __future__ import annotations
@@ -28,11 +32,7 @@ import numpy as np
 
 from repro.fleet.devices import DeviceFleet
 from repro.puf.base import PUFResponse
-from repro.puf.positions import (
-    jaccard_index_arrays,
-    jaccard_index_batch,
-    positions_equal,
-)
+from repro.puf.positions import jaccard_index_arrays, positions_equal
 
 #: Initial capacity of the store's position buffer.
 _INITIAL_CAPACITY = 256
@@ -90,43 +90,18 @@ class GoldenStore:
         view.setflags(write=False)
         return view
 
-    def get_many(
-        self, keys: "Iterable[tuple[int, int]]"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Golden slices of ``keys``, gathered into batch ``(buffer, offsets)``.
-
-        The returned buffer concatenates the slot slices in the given key
-        order (repeated keys are gathered repeatedly), ready for
-        :func:`repro.puf.positions.jaccard_index_batch`.  Raises ``KeyError``
-        on the first key without an enrolled slot.
-        """
-        slots = []
-        for key in keys:
-            slot = self._slots.get(key)
-            if slot is None:
-                raise KeyError(f"golden response for {key} is not enrolled")
-            slots.append(slot)
-        offsets = np.zeros(len(slots) + 1, dtype=np.int64)
-        if slots:
-            np.cumsum([stop - start for start, stop in slots], out=offsets[1:])
-        buffer = np.empty(int(offsets[-1]), dtype=np.int64)
-        for index, (start, stop) in enumerate(slots):
-            buffer[offsets[index] : offsets[index + 1]] = self._positions[start:stop]
-        return buffer, offsets
-
     # ------------------------------------------------------------------
-    # Payloads: numpy arrays in-process, lists only at the JSON boundary
+    # Payloads: numpy arrays; lists only in the engine's cache encoder
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Slots in insertion order as array-native ``{"keys", "counts",
         "positions"}``.
 
-        The in-process (and worker-handoff) payload form: ``keys`` is an
-        ``(n, 2)`` int64 array of ``(device_id, challenge_index)`` rows,
-        ``counts`` the per-slot position counts, ``positions`` a copy of the
-        occupied buffer.  Concatenating the arrays of two stores (in order)
-        is the payload of the store holding both blocks.  ``to_payload``
-        listifies this form at the JSON/cache boundary.
+        The one payload form: ``keys`` is an ``(n, 2)`` int64 array of
+        ``(device_id, challenge_index)`` rows, ``counts`` the per-slot
+        position counts, ``positions`` a copy of the occupied buffer.
+        Concatenating the arrays of two stores (in order) is the payload of
+        the store holding both blocks.
         """
         count = len(self._slots)
         keys = np.fromiter(
@@ -144,15 +119,6 @@ class GoldenStore:
             "counts": counts,
             "positions": self._positions[: self._size].copy(),
         }
-
-    @classmethod
-    def from_arrays(cls, payload: dict[str, Any]) -> "GoldenStore":
-        """Rebuild a store from an arrays (or listified) payload."""
-        store = cls()
-        store.install_arrays(
-            payload["keys"], payload["counts"], payload["positions"]
-        )
-        return store
 
     def install_arrays(
         self,
@@ -188,62 +154,18 @@ class GoldenStore:
             installed += 1
         return installed
 
-    @classmethod
-    def merge_arrays(
-        cls, payloads: "Iterable[dict[str, Any]]"
-    ) -> dict[str, np.ndarray]:
+    @staticmethod
+    def merge_arrays(payloads: "Iterable[dict[str, Any]]") -> dict[str, np.ndarray]:
         """Concatenate enrollment-block array payloads, in the given order."""
         payloads = list(payloads)
+        shapes = {"keys": (-1, 2), "counts": (-1,), "positions": (-1,)}
         return {
-            "keys": np.concatenate(
-                [np.asarray(p["keys"], dtype=np.int64).reshape(-1, 2) for p in payloads]
+            name: np.concatenate(
+                [np.empty(0, dtype=np.int64).reshape(shape)]
+                + [np.asarray(p[name], dtype=np.int64).reshape(shape) for p in payloads]
             )
-            if payloads
-            else np.empty((0, 2), dtype=np.int64),
-            "counts": np.concatenate(
-                [np.asarray(p["counts"], dtype=np.int64) for p in payloads]
-            )
-            if payloads
-            else np.empty(0, dtype=np.int64),
-            "positions": np.concatenate(
-                [np.asarray(p["positions"], dtype=np.int64) for p in payloads]
-            )
-            if payloads
-            else np.empty(0, dtype=np.int64),
+            for name, shape in shapes.items()
         }
-
-    # ------------------------------------------------------------------
-    # JSON-safe payloads (what the engine cache persists)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict[str, Any]:
-        """Slots in insertion order as ``{"keys", "counts", "positions"}``.
-
-        The JSON-safe listification of :meth:`to_arrays` -- the only place
-        the position buffer becomes a Python-int list.  Concatenating the
-        payloads of two stores (in order) is the payload of the store
-        holding both blocks, which is what makes device-partitioned
-        enrollment merge by concatenation.
-        """
-        arrays = self.to_arrays()
-        return {
-            "keys": arrays["keys"].tolist(),
-            "counts": arrays["counts"].tolist(),
-            "positions": arrays["positions"].tolist(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "GoldenStore":
-        """Inverse of :meth:`to_payload` (accepts the arrays form too)."""
-        return cls.from_arrays(payload)
-
-    @classmethod
-    def merge_payloads(cls, payloads: Iterable[dict[str, Any]]) -> dict[str, Any]:
-        """Concatenate enrollment-block payloads, in the given order."""
-        merged: dict[str, list[Any]] = {"keys": [], "counts": [], "positions": []}
-        for payload in payloads:
-            for key in merged:
-                merged[key].extend(payload[key])
-        return merged
 
 
 @dataclass
@@ -296,27 +218,8 @@ class FleetVerifier:
             golden = self.enroll(device_id, challenge_index)
         return golden
 
-    def golden_many(
-        self, keys: "list[tuple[int, int]]"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Golden slices of many ``(device, challenge)`` keys, batch form.
-
-        Missing slots are enrolled lazily first, grouped by device so one
-        device build covers all of its missing challenges; the gathered
-        values are identical to per-key :meth:`golden` calls (enrollment
-        streams are independent of gather order).
-        """
-        missing: dict[int, list[int]] = {}
-        for device_id, challenge_index in dict.fromkeys(keys):
-            if (device_id, challenge_index) not in self.store:
-                missing.setdefault(device_id, []).append(challenge_index)
-        for device_id in sorted(missing):
-            for challenge_index in missing[device_id]:
-                self.enroll(device_id, challenge_index)
-        return self.store.get_many(keys)
-
     def warm(self, payload: dict[str, Any]) -> int:
-        """Absorb a pre-enrolled golden payload (arrays or listified form).
+        """Absorb a pre-enrolled golden arrays payload (:meth:`GoldenStore.to_arrays`).
 
         Installs every slot the store does not hold yet and returns how many
         were added.  Because golden responses are pure functions of the
@@ -337,26 +240,6 @@ class FleetVerifier:
         """Jaccard similarity of a candidate response to the golden one."""
         return jaccard_index_arrays(
             self.golden(device_id, challenge_index), response.position_array
-        )
-
-    def similarity_batch(
-        self,
-        keys: "list[tuple[int, int]]",
-        candidates: np.ndarray,
-        candidate_offsets: np.ndarray,
-    ) -> np.ndarray:
-        """Jaccard similarities of a batch of candidates to their goldens.
-
-        ``candidates``/``candidate_offsets`` is the concatenated batch form
-        of :func:`repro.puf.positions.concat_position_arrays`; slice ``i`` is
-        matched against the golden of ``keys[i]``.  Bit-identical to looping
-        :meth:`similarity` (one float64 per request, same integer-ratio
-        division), which is what lets the batched traffic kernel replace the
-        scalar one without perturbing any recorded similarity.
-        """
-        golden, golden_offsets = self.golden_many(keys)
-        return jaccard_index_batch(
-            golden, golden_offsets, candidates, candidate_offsets
         )
 
     def verify(

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.dram.module import DRAMModule
 from repro.puf.base import Challenge, PUFResponse
-from repro.puf.filtering import intersect_filter, scalar_mode_forced
 from repro.utils.rng import make_rng
 
 
@@ -55,18 +54,14 @@ class CODICSigPUF:
     ) -> PUFResponse:
         """Evaluate the PUF on one challenge.
 
-        Routes through the multi-read counting kernel
-        (:meth:`repro.dram.module.DRAMModule.sig_response_multi`), which is
-        bit-identical to the retained :meth:`evaluate_scalar` loop;
-        ``REPRO_PUF_SCALAR=1`` forces the scalar path process-wide.
+        Runs the multi-read counting kernel
+        (:meth:`repro.dram.module.DRAMModule.sig_response_multi`): all
+        ``filter_passes`` reads intersected in one pass.
         """
-        if scalar_mode_forced():
-            return self.evaluate_scalar(challenge, temperature_c, rng)
         passes = self.filter_passes
         if rng is None:
-            # Advance the bookkeeping counter exactly as the scalar loop's
-            # per-pass `_single_pass` calls would, so default-seeded noise
-            # sequences stay reproducible across both paths.
+            # One default-seeded stream per pass, each advancing the
+            # bookkeeping counter, so repeated calls draw fresh noise.
             rngs = []
             for pass_index in range(passes):
                 self._evaluations += 1
@@ -83,44 +78,4 @@ class CODICSigPUF:
         positions.setflags(write=False)
         return PUFResponse(
             position_array=positions, challenge=challenge, temperature_c=temperature_c
-        )
-
-    def evaluate_scalar(
-        self,
-        challenge: Challenge,
-        temperature_c: float = 30.0,
-        rng: np.random.Generator | None = None,
-    ) -> PUFResponse:
-        """Scalar reference loop: per-pass reads reduced by `intersect_filter`."""
-        observations = [
-            self._single_pass(challenge, temperature_c, rng, pass_index)
-            for pass_index in range(self.filter_passes)
-        ]
-        if len(observations) == 1:
-            positions = observations[0]
-        else:
-            positions = intersect_filter(observations)
-        # Freshly built and unaliased: freeze in place so PUFResponse takes
-        # the zero-copy fast path.
-        positions.setflags(write=False)
-        return PUFResponse(
-            position_array=positions, challenge=challenge, temperature_c=temperature_c
-        )
-
-    def _single_pass(
-        self,
-        challenge: Challenge,
-        temperature_c: float,
-        rng: np.random.Generator | None,
-        pass_index: int,
-    ) -> np.ndarray:
-        if rng is None:
-            self._evaluations += 1
-            noise_rng = make_rng(
-                self.noise_seed, "codic-sig", self._evaluations, pass_index
-            )
-        else:
-            noise_rng = rng
-        return self.module.sig_response(
-            challenge.segment, temperature_c=temperature_c, rng=noise_rng
         )

@@ -10,35 +10,25 @@ operations over sorted position arrays (:mod:`repro.puf.positions`).
 Observations may be given as arrays or as Python sets; the result is always a
 canonical sorted ``np.int64`` array.
 
-The multi-read module kernels (:meth:`repro.dram.module.DRAMModule.
-sig_response_multi` and friends) use the *counting formulation* of these
-combinators: every per-pass observation array is unique, so one
-``np.unique(return_counts=True)`` over the concatenated passes replaces the
-pairwise :func:`intersect_filter` reduction (keep ``counts == passes``) and
-directly generalizes :func:`majority_filter` (keep ``counts > threshold``).
-The PUF classes route their ``evaluate`` methods through those kernels unless
-:data:`PUF_SCALAR_ENV_VAR` forces the retained scalar reference loops.
+The PUF classes do not call these combinators on their hot path: their
+``evaluate`` methods run the multi-read module kernels
+(:meth:`repro.dram.module.DRAMModule.sig_response_multi` and friends), which
+use the *counting formulation* of the same filters.  Every per-pass
+observation array is unique, so one ``np.unique(return_counts=True)`` over
+the concatenated passes replaces the pairwise :func:`intersect_filter`
+reduction (keep ``counts == passes``) and directly generalizes
+:func:`majority_filter` (keep ``counts > threshold``).  The test suite keeps
+per-pass loops built on these combinators as byte-identity oracles for the
+kernels.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.puf.positions import as_position_array, intersect_positions
-
-#: Environment switch forcing every PUF ``evaluate`` through the retained
-#: scalar reference loops (mirrors ``REPRO_FLEET_SCALAR``): CI byte-compares
-#: the two paths through the full experiment CLI.
-PUF_SCALAR_ENV_VAR = "REPRO_PUF_SCALAR"
-
-
-def scalar_mode_forced() -> bool:
-    """True when ``REPRO_PUF_SCALAR=1`` forces the scalar reference loops."""
-    return os.environ.get(PUF_SCALAR_ENV_VAR) == "1"
-
 
 def majority_filter(
     observations: "Sequence[np.ndarray | frozenset[int] | set[int]]",

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.dram.module import DRAMModule
 from repro.puf.base import Challenge, PUFResponse
-from repro.puf.filtering import scalar_mode_forced
 from repro.utils.rng import make_rng
 
 
@@ -48,15 +47,11 @@ class DRAMLatencyPUF:
     ) -> PUFResponse:
         """Evaluate the PUF on one challenge (filtered response).
 
-        Routes through the fused counting kernel
+        Runs the fused counting kernel
         (:meth:`repro.dram.module.DRAMModule.rcd_filtered_response` with a
         live rng: one rank-wide binomial draw over the memoized segment
-        profile), bit-identical to the retained :meth:`evaluate_scalar`
-        per-chip loop; ``REPRO_PUF_SCALAR=1`` forces the scalar path
-        process-wide.
+        profile).
         """
-        if scalar_mode_forced():
-            return self.evaluate_scalar(challenge, temperature_c, rng)
         if rng is None:
             self._evaluations += 1
             noise_rng = make_rng(self.noise_seed, "latency-puf", self._evaluations)
@@ -72,31 +67,6 @@ class DRAMLatencyPUF:
         )
         # Freshly built and unaliased: freeze in place so PUFResponse takes
         # the zero-copy fast path.
-        positions.setflags(write=False)
-        return PUFResponse(
-            position_array=positions, challenge=challenge, temperature_c=temperature_c
-        )
-
-    def evaluate_scalar(
-        self,
-        challenge: Challenge,
-        temperature_c: float = 30.0,
-        rng: np.random.Generator | None = None,
-    ) -> PUFResponse:
-        """Scalar reference loop: per-chip profile shift and binomial draws."""
-        if rng is None:
-            self._evaluations += 1
-            noise_rng = make_rng(self.noise_seed, "latency-puf", self._evaluations)
-        else:
-            noise_rng = rng
-        positions = self.module.rcd_filtered_response_scalar(
-            challenge.segment,
-            trcd_ns=self.trcd_ns,
-            reads=self.filter_reads,
-            threshold=self.filter_threshold,
-            temperature_c=temperature_c,
-            rng=noise_rng,
-        )
         positions.setflags(write=False)
         return PUFResponse(
             position_array=positions, challenge=challenge, temperature_c=temperature_c

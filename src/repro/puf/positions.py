@@ -16,8 +16,6 @@ tests against a frozenset reference implementation).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 #: Anything accepted as a collection of bit positions.
@@ -133,92 +131,3 @@ def jaccard_index_arrays(first: np.ndarray, second: np.ndarray) -> float:
 def positions_equal(first: np.ndarray, second: np.ndarray) -> bool:
     """Exact set equality of two canonical position arrays."""
     return first.size == second.size and bool(np.array_equal(first, second))
-
-
-def concat_position_arrays(
-    arrays: "Iterable[np.ndarray]",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack canonical position arrays into ``(buffer, offsets)`` batch form.
-
-    The batch form every ``*_batch`` kernel consumes: one concatenated
-    ``int64`` buffer plus an ``offsets`` array of length ``n + 1`` such that
-    slice ``i`` is ``buffer[offsets[i]:offsets[i + 1]]``.
-    """
-    arrays = list(arrays)
-    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-    if arrays:
-        np.cumsum([array.size for array in arrays], out=offsets[1:])
-        buffer = (
-            np.concatenate(arrays)
-            if offsets[-1]
-            else np.empty(0, dtype=np.int64)
-        )
-    else:
-        buffer = np.empty(0, dtype=np.int64)
-    return buffer, offsets
-
-
-def intersection_size_batch(
-    first: np.ndarray,
-    first_offsets: np.ndarray,
-    second: np.ndarray,
-    second_offsets: np.ndarray,
-) -> np.ndarray:
-    """Per-pair ``|A_i n B_i|`` over two batches of canonical arrays.
-
-    Both batches are in the ``(buffer, offsets)`` form of
-    :func:`concat_position_arrays` and must hold the same number of slices.
-    Instead of looping :func:`intersection_size` per pair, every slice is
-    shifted into its own disjoint value range (``pair_index * span``), which
-    turns the whole batch into one global sorted-array membership problem:
-    a single ``searchsorted`` plus a ``bincount`` of the hits.  Counts are
-    exact integers, identical to the scalar kernel's.
-    """
-    pairs = int(first_offsets.size) - 1
-    if int(second_offsets.size) - 1 != pairs:
-        raise ValueError(
-            f"batch size mismatch: {pairs} first slices vs "
-            f"{int(second_offsets.size) - 1} second slices"
-        )
-    counts = np.zeros(pairs, dtype=np.int64)
-    if first.size == 0 or second.size == 0:
-        return counts
-    low = int(min(first.min(), second.min()))
-    span = int(max(first.max(), second.max())) - low + 1
-    pair_ids = np.arange(pairs, dtype=np.int64)
-    first_ids = np.repeat(pair_ids, np.diff(first_offsets))
-    second_ids = np.repeat(pair_ids, np.diff(second_offsets))
-    # Within-pair slices are strictly increasing and pair blocks are shifted
-    # by disjoint multiples of span, so both shifted buffers are globally
-    # sorted -- the precondition for one searchsorted over everything.
-    shifted_first = (first - low) + first_ids * span
-    shifted_second = (second - low) + second_ids * span
-    indices = np.searchsorted(shifted_first, shifted_second)
-    found = indices < shifted_first.size
-    matched = second_ids[found][shifted_first[indices[found]] == shifted_second[found]]
-    if matched.size:
-        counts += np.bincount(matched, minlength=pairs)
-    return counts
-
-
-def jaccard_index_batch(
-    first: np.ndarray,
-    first_offsets: np.ndarray,
-    second: np.ndarray,
-    second_offsets: np.ndarray,
-) -> np.ndarray:
-    """Per-pair Jaccard similarity over two batches of canonical arrays.
-
-    Bit-identical to looping :func:`jaccard_index_arrays` over the pairs:
-    intersection counts are exact integers and the final ratio is the same
-    ``int64 / int64`` float64 division (both operands far below 2**53), with
-    the empty-vs-empty pair reporting 1.0 exactly like the scalar path.
-    """
-    intersections = intersection_size_batch(
-        first, first_offsets, second, second_offsets
-    )
-    unions = np.diff(first_offsets) + np.diff(second_offsets) - intersections
-    result = np.ones(intersections.size, dtype=np.float64)
-    occupied = unions > 0
-    result[occupied] = intersections[occupied] / unions[occupied]
-    return result

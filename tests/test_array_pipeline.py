@@ -45,13 +45,7 @@ from repro.puf.evaluation import (
 from repro.puf.filtering import intersect_filter, majority_filter
 from repro.puf.jaccard import JaccardDistribution, jaccard_index
 from repro.puf.latency_puf import DRAMLatencyPUF
-from repro.puf.positions import (
-    as_position_array,
-    concat_position_arrays,
-    intersection_size_batch,
-    jaccard_index_arrays,
-    jaccard_index_batch,
-)
+from repro.puf.positions import as_position_array, jaccard_index_arrays
 from repro.puf.prelat_puf import PreLatPUF
 from repro.rng.stream import positions_to_address_bits, positions_to_dense_bits
 from repro.utils.rng import StreamTree
@@ -397,62 +391,6 @@ class TestBatchedKernelsBitIdentity:
         ]
         assert intra.tolist() == [pair[0] for pair in scalar]
         assert inter.tolist() == [pair[1] for pair in scalar]
-
-
-pair_batches = st.lists(
-    st.tuples(position_sets, position_sets), min_size=0, max_size=12
-)
-
-
-class TestJaccardBatchKernel:
-    """The pair-shift batched Jaccard equals the scalar kernel, bit for bit."""
-
-    @staticmethod
-    def pack(sets):
-        return concat_position_arrays([as_position_array(s) for s in sets])
-
-    @given(pair_batches)
-    @settings(max_examples=200, deadline=None)
-    def test_batch_matches_scalar_loop(self, pairs):
-        first, first_offsets = self.pack([a for a, _ in pairs])
-        second, second_offsets = self.pack([b for _, b in pairs])
-        batch = jaccard_index_batch(first, first_offsets, second, second_offsets)
-        assert batch.dtype == np.float64
-        assert batch.tolist() == [
-            reference_jaccard(a, b) for a, b in pairs
-        ]  # bit-identical floats, incl. empty-vs-empty -> 1.0
-
-    @given(pair_batches)
-    @settings(max_examples=200, deadline=None)
-    def test_intersection_counts_match_scalar(self, pairs):
-        first, first_offsets = self.pack([a for a, _ in pairs])
-        second, second_offsets = self.pack([b for _, b in pairs])
-        counts = intersection_size_batch(
-            first, first_offsets, second, second_offsets
-        )
-        assert counts.tolist() == [len(a & b) for a, b in pairs]
-
-    def test_concat_offsets_delimit_slices(self):
-        arrays = [
-            np.array([5, 9], dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.array([1], dtype=np.int64),
-        ]
-        buffer, offsets = concat_position_arrays(arrays)
-        assert offsets.tolist() == [0, 2, 2, 3]
-        for index, array in enumerate(arrays):
-            assert (
-                buffer[offsets[index] : offsets[index + 1]].tolist()
-                == array.tolist()
-            )
-        empty_buffer, empty_offsets = concat_position_arrays([])
-        assert empty_buffer.size == 0 and empty_offsets.tolist() == [0]
-
-    def test_batch_size_mismatch_raises(self):
-        first, first_offsets = self.pack([{1, 2}])
-        second, second_offsets = self.pack([{1}, {2}])
-        with pytest.raises(ValueError, match="batch size mismatch"):
-            intersection_size_batch(first, first_offsets, second, second_offsets)
 
 
 class TestDegeneratePopulationGuard:

@@ -23,17 +23,14 @@ from repro.engine import (
     run_sharded,
 )
 from repro.fleet import (
-    SCALAR_ENV_VAR,
     DeviceFleet,
     FleetConfig,
     FleetVerifier,
     GoldenStore,
     TrafficConfig,
     authenticate_block,
-    authenticate_block_scalar,
     authenticate_request,
 )
-from repro.puf.positions import concat_position_arrays
 
 #: Small fleet shared by most tests (CODIC-sig: cheapest evaluation).
 CONFIG = FleetConfig(seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2)
@@ -44,6 +41,16 @@ TRAFFIC = TrafficConfig(requests=24, impostor_ratio=0.4, temperature_jitter_c=4.
 def fresh_runtime(config: FleetConfig = CONFIG) -> tuple[DeviceFleet, FleetVerifier]:
     fleet = DeviceFleet(config)
     return fleet, FleetVerifier(fleet)
+
+
+def replay_requests(config, traffic, start, stop):
+    """Per-request scalar kernel replay of ``[start, stop)`` on a fresh runtime."""
+    fleet, verifier = fresh_runtime(config)
+    genuine, impostor = [], []
+    for index in range(start, stop):
+        is_impostor, similarity = authenticate_request(fleet, verifier, traffic, index)
+        (impostor if is_impostor else genuine).append(similarity)
+    return genuine, impostor
 
 
 class TestFleetConfig:
@@ -151,22 +158,25 @@ class TestGoldenStore:
         store = GoldenStore()
         store.add(0, 0, np.array([1, 5], dtype=np.int64))
         store.add(1, 0, np.array([2], dtype=np.int64))
-        payload = store.to_payload()
-        rebuilt = GoldenStore.from_payload(payload)
+        payload = store.to_arrays()
+        rebuilt = GoldenStore()
+        rebuilt.install_arrays(**payload)
         assert rebuilt.get(0, 0).tolist() == [1, 5]
         assert rebuilt.get(1, 0).tolist() == [2]
 
         other = GoldenStore()
         other.add(2, 0, np.array([9], dtype=np.int64))
-        merged = GoldenStore.merge_payloads([payload, other.to_payload()])
-        combined = GoldenStore.from_payload(merged)
+        merged = GoldenStore.merge_arrays([payload, other.to_arrays()])
+        combined = GoldenStore()
+        combined.install_arrays(**merged)
         assert len(combined) == 3
         assert combined.get(2, 0).tolist() == [9]
 
     def test_inconsistent_payload_raises(self):
+        # The JSON-decoded (list) form is accepted and validated too.
         with pytest.raises(ValueError, match="inconsistent"):
-            GoldenStore.from_payload(
-                {"keys": [[0, 0]], "counts": [1], "positions": [1, 2]}
+            GoldenStore().install_arrays(
+                keys=[[0, 0]], counts=[1], positions=[1, 2]
             )
 
 
@@ -178,26 +188,6 @@ class TestGoldenStoreBatch:
         store.add(4, 0, np.array([5], dtype=np.int64))
         return store
 
-    def test_get_many_gathers_in_key_order(self):
-        store = self.build_store()
-        # Repeated and out-of-insertion-order keys gather repeatedly.
-        keys = [(4, 0), (0, 0), (0, 1), (0, 0)]
-        buffer, offsets = store.get_many(keys)
-        assert offsets.tolist() == [0, 1, 4, 4, 7]
-        assert buffer.tolist() == [5, 3, 17, 99, 3, 17, 99]
-        for index, key in enumerate(keys):
-            assert (
-                buffer[offsets[index] : offsets[index + 1]].tolist()
-                == store.get(*key).tolist()
-            )
-
-    def test_get_many_empty_and_missing(self):
-        store = self.build_store()
-        buffer, offsets = store.get_many([])
-        assert buffer.size == 0 and offsets.tolist() == [0]
-        with pytest.raises(KeyError, match="not enrolled"):
-            store.get_many([(0, 0), (9, 9)])
-
     def test_arrays_roundtrip(self):
         store = self.build_store()
         arrays = store.to_arrays()
@@ -205,12 +195,14 @@ class TestGoldenStoreBatch:
         assert arrays["keys"].tolist() == [[0, 0], [0, 1], [4, 0]]
         assert arrays["counts"].tolist() == [3, 0, 1]
         assert arrays["positions"].tolist() == [3, 17, 99, 5]
-        rebuilt = GoldenStore.from_arrays(arrays)
-        assert len(rebuilt) == 3
+        rebuilt = GoldenStore()
+        assert rebuilt.install_arrays(**arrays) == 3
         assert rebuilt.get(0, 0).tolist() == [3, 17, 99]
         assert rebuilt.get(0, 1).size == 0
-        # to_payload is exactly the listified arrays form.
-        assert store.to_payload() == {
+        # The cache encoding of an enrollment value is exactly the listified
+        # arrays form.
+        job = FleetEnrollJob(fleet_seed=11, devices=8, puf="CODIC-sig PUF")
+        assert job.encode(arrays) == {
             key: value.tolist() for key, value in arrays.items()
         }
 
@@ -231,16 +223,15 @@ class TestGoldenStoreBatch:
             )
 
     def test_merge_arrays_matches_merge_payloads(self):
+        # Merging is plain concatenation of each field's listified payload.
         first, second = self.build_store(), GoldenStore()
         second.add(7, 0, np.array([1, 2], dtype=np.int64))
-        merged = GoldenStore.merge_arrays([first.to_arrays(), second.to_arrays()])
-        listified = GoldenStore.merge_payloads(
-            [first.to_payload(), second.to_payload()]
-        )
+        payloads = [first.to_arrays(), second.to_arrays()]
+        merged = GoldenStore.merge_arrays(payloads)
+        assert all(value.dtype == np.int64 for value in merged.values())
         assert {k: v.tolist() for k, v in merged.items()} == {
-            "keys": [list(key) for key in listified["keys"]],
-            "counts": listified["counts"],
-            "positions": listified["positions"],
+            key: payloads[0][key].tolist() + payloads[1][key].tolist()
+            for key in ("keys", "counts", "positions")
         }
         empty = GoldenStore.merge_arrays([])
         assert empty["keys"].shape == (0, 2)
@@ -282,41 +273,6 @@ class TestFleetVerifier:
         with pytest.raises(ValueError, match="device range"):
             verifier.enroll_range(0, CONFIG.devices + 1)
 
-    def test_golden_many_lazily_enrolls_and_matches_scalar(self):
-        _, batch = fresh_runtime()
-        _, scalar = fresh_runtime()
-        keys = [(5, 1), (0, 0), (5, 1), (3, 0)]  # scrambled, with a repeat
-        buffer, offsets = batch.golden_many(keys)
-        assert len(batch.store) == 3  # unique slots only
-        for index, key in enumerate(keys):
-            assert (
-                buffer[offsets[index] : offsets[index + 1]].tolist()
-                == scalar.golden(*key).tolist()
-            )
-
-    def test_similarity_batch_matches_scalar_similarity(self):
-        fleet, batch = fresh_runtime()
-        _, scalar = fresh_runtime()
-        keys, responses = [], []
-        for index in range(8):
-            rng = fleet.traffic_rng(index)
-            device_id = index % CONFIG.devices
-            presenter = (device_id + 1) % CONFIG.devices if index % 3 == 0 else device_id
-            challenge = fleet.challenge(device_id, 0)
-            responses.append(
-                fleet.device(presenter).evaluate(challenge, 32.0, rng=rng)
-            )
-            keys.append((device_id, 0))
-        buffer, offsets = concat_position_arrays(
-            [response.position_array for response in responses]
-        )
-        similarities = batch.similarity_batch(keys, buffer, offsets)
-        expected = [
-            scalar.similarity(key[0], key[1], response)
-            for key, response in zip(keys, responses)
-        ]
-        assert similarities.tolist() == expected  # bit-identical floats
-
     def test_warm_store_equals_lazy_enrollment(self):
         payload = FleetEnrollJob(
             fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
@@ -352,13 +308,7 @@ class TestTraffic:
     def test_block_matches_per_request_replay(self):
         fleet, verifier = fresh_runtime()
         genuine, impostor = authenticate_block(fleet, verifier, TRAFFIC, 0, 10)
-        replay_fleet, replay_verifier = fresh_runtime()
-        expected_genuine, expected_impostor = [], []
-        for index in range(10):
-            is_impostor, similarity = authenticate_request(
-                replay_fleet, replay_verifier, TRAFFIC, index
-            )
-            (expected_impostor if is_impostor else expected_genuine).append(similarity)
+        expected_genuine, expected_impostor = replay_requests(CONFIG, TRAFFIC, 0, 10)
         assert genuine.tolist() == expected_genuine
         assert impostor.tolist() == expected_impostor
 
@@ -401,7 +351,7 @@ class TestTraffic:
 
 
 class TestBatchedScalarIdentity:
-    """The grouped-evaluation kernel is bit-identical to the scalar loop."""
+    """A block replay is bit-identical to the per-request scalar kernel."""
 
     CASES = {
         "mixed": (CONFIG, TRAFFIC),
@@ -411,8 +361,8 @@ class TestBatchedScalarIdentity:
             FleetConfig(seed=23, devices=2, puf="CODIC-sig PUF"),
             TrafficConfig(requests=24, impostor_ratio=1.0),
         ),
-        # Residual aging: the re-enrollment modulo must happen in the plan
-        # phase exactly as in the scalar kernel.
+        # Residual aging: the re-enrollment modulo shifts every request's
+        # temperature before evaluation.
         "reenroll-aging": (
             CONFIG,
             TrafficConfig(
@@ -433,22 +383,20 @@ class TestBatchedScalarIdentity:
         genuine, impostor = authenticate_block(
             fleet, verifier, traffic, 0, traffic.requests
         )
-        ref_fleet, ref_verifier = fresh_runtime(config)
-        want_genuine, want_impostor = authenticate_block_scalar(
-            ref_fleet, ref_verifier, traffic, 0, traffic.requests
+        want_genuine, want_impostor = replay_requests(
+            config, traffic, 0, traffic.requests
         )
-        assert genuine.tolist() == want_genuine.tolist()
-        assert impostor.tolist() == want_impostor.tolist()
+        assert genuine.tolist() == want_genuine
+        assert impostor.tolist() == want_impostor
 
     def test_uneven_partitions_match_scalar(self):
-        ref_fleet, ref_verifier = fresh_runtime()
-        want = authenticate_block_scalar(ref_fleet, ref_verifier, TRAFFIC, 0, 24)
+        want = replay_requests(CONFIG, TRAFFIC, 0, 24)
         parts = []
         for start, stop in zip([0, 1, 2, 13], [1, 2, 13, 24]):
             fleet, verifier = fresh_runtime()
             parts.append(authenticate_block(fleet, verifier, TRAFFIC, start, stop))
-        assert np.concatenate([p[0] for p in parts]).tolist() == want[0].tolist()
-        assert np.concatenate([p[1] for p in parts]).tolist() == want[1].tolist()
+        assert np.concatenate([p[0] for p in parts]).tolist() == want[0]
+        assert np.concatenate([p[1] for p in parts]).tolist() == want[1]
 
     def test_empty_block(self):
         fleet, verifier = fresh_runtime()
@@ -457,26 +405,21 @@ class TestBatchedScalarIdentity:
         assert genuine.dtype == np.float64 and impostor.dtype == np.float64
 
     def test_degenerate_fleet_raises_identically_in_both_paths(self):
+        # Direct block replay and the engine's traffic job both refuse a
+        # one-device impostor stream, for every block -- even one whose
+        # request range happens to contain no impostor draw (eager check).
         config = FleetConfig(seed=3, devices=1, puf="CODIC-sig PUF")
         traffic = TrafficConfig(requests=64, impostor_ratio=0.5)
-        for kernel in (authenticate_block, authenticate_block_scalar):
+        job = FleetTrafficJob(
+            fleet_seed=3, devices=1, puf="CODIC-sig PUF", requests=64,
+            impostor_ratio=0.5,
+        )
+        for start in range(4):
             fleet, verifier = fresh_runtime(config)
-            # Eager check: every block fails, even one whose request range
-            # happens to contain no impostor draw.
             with pytest.raises(ValueError, match="at least two devices"):
-                kernel(fleet, verifier, traffic, 0, 1)
-
-    def test_env_var_forces_the_scalar_path(self, monkeypatch):
-        from repro.fleet import traffic as traffic_module
-
-        def fail(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("batched plan phase ran under REPRO_FLEET_SCALAR=1")
-
-        monkeypatch.setenv(SCALAR_ENV_VAR, "1")
-        monkeypatch.setattr(traffic_module, "_plan_block", fail)
-        fleet, verifier = fresh_runtime()
-        genuine, impostor = authenticate_block(fleet, verifier, TRAFFIC, 0, 8)
-        assert genuine.size + impostor.size == 8
+                authenticate_block(fleet, verifier, traffic, start, start + 1)
+            with pytest.raises(ValueError, match="at least two devices"):
+                job.run_range(start, start + 1)
 
     def test_latency_histogram_counts_sum_to_requests(self):
         telemetry.registry().reset()
@@ -485,9 +428,8 @@ class TestBatchedScalarIdentity:
             fleet, verifier = fresh_runtime()
             authenticate_block(fleet, verifier, TRAFFIC, 0, 24)
             latency = telemetry.registry().histogram(telemetry.FLEET_AUTH_SECONDS)
-            # Group-amortized timing still attributes one observation per
-            # request (the per-group mean), so downstream percentile math
-            # sees the same population size as the scalar path.
+            # One whole-request timing per request: provisioning, lazy
+            # enrollment, evaluation and scoring are all on the clock.
             assert latency.count == 24
             assert latency.sum > 0.0
             requests = telemetry.registry().counter(telemetry.FLEET_AUTH_REQUESTS)
@@ -588,7 +530,8 @@ class TestFleetEnrollJob:
         merged = job.merge([shard.run() for shard in shards])
         assert job.encode(merged) == job.encode(serial)
         # The payload rehydrates into a store covering every slot.
-        store = GoldenStore.from_payload(serial)
+        store = GoldenStore()
+        store.install_arrays(**serial)
         assert len(store) == 8 * 2
 
     def test_encode_decode_roundtrip_through_json(self):
@@ -606,7 +549,8 @@ class TestFleetEnrollJob:
         job = FleetEnrollJob(
             fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
         )
-        store = GoldenStore.from_payload(job.run())
+        store = GoldenStore()
+        store.install_arrays(**job.run())
         _, verifier = fresh_runtime()
         assert store.get(6, 1).tolist() == verifier.golden(6, 1).tolist()
 
@@ -743,16 +687,6 @@ class TestFleetCLI:
         )
         assert code == 0
         assert self.deterministic(plain) == self.deterministic(warm_sharded)
-
-    def test_json_scalar_path_matches_batched(self, capsys, monkeypatch):
-        base = ["fleet", "--devices", "8", "--requests", "16", "--seed", "11",
-                "--json", "--no-daemon"]
-        code, batched, _ = self.run_cli(base, capsys)
-        assert code == 0
-        monkeypatch.setenv(SCALAR_ENV_VAR, "1")
-        code, scalar, _ = self.run_cli(base, capsys)
-        assert code == 0
-        assert self.deterministic(batched) == self.deterministic(scalar)
 
     @pytest.mark.parametrize(
         "argv",

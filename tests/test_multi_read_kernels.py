@@ -2,11 +2,11 @@
 
 The batched multi-read evaluation core (`DRAMModule.sig_response_multi`,
 `rp_response_multi`, the fused counting `rcd_filtered_response`) must be
-bit-identical to the retained scalar reference loops for every vendor,
-temperature, filter configuration and rng mode -- that is the contract the
-golden fixtures and the `REPRO_PUF_SCALAR=1` CI byte-compare enforce at the
-system level, checked here directly at the kernel level with
-hypothesis-driven configurations.
+bit-identical to the per-pass reference loops of `puf_oracles` for every
+vendor, temperature, filter configuration and rng mode.  The golden
+experiment fixtures enforce the same contract at the system level; here it
+is checked directly at the kernel level with hypothesis-driven
+configurations.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from repro.dram.geometry import DRAMGeometry
 from repro.dram.module import DRAMModule, SegmentAddress
 from repro.puf.base import Challenge
 from repro.puf.codic_puf import CODICSigPUF
-from repro.puf.filtering import PUF_SCALAR_ENV_VAR, scalar_mode_forced
 from repro.puf.latency_puf import DRAMLatencyPUF
 from repro.puf.prelat_puf import PreLatPUF
 from repro.utils.rng import make_rng
+
+from puf_oracles import evaluate_scalar, rcd_filtered_response_scalar
 
 #: Small geometry so hypothesis examples stay fast; 2 banks x 4 rows x 1 KB
 #: rows is enough to exercise multi-chip offsets and profile memos.
@@ -36,7 +37,7 @@ _MODULES: dict[str, tuple[DRAMModule, DRAMModule]] = {}
 
 
 def _module_pair(vendor: str) -> tuple[DRAMModule, DRAMModule]:
-    """Two identically-seeded modules (batched vs scalar must not share
+    """Two identically-seeded modules (kernel vs oracle must not share
     memo state for the comparison to be meaningful)."""
     pair = _MODULES.get(vendor)
     if pair is None:
@@ -86,11 +87,13 @@ class TestMultiReadBitIdentity:
         scalar_puf = CODICSigPUF(scalar_module, filter_passes=passes)
         if supplied:
             batched = batched_puf.evaluate(challenge, temperature, rng=make_rng(seed))
-            scalar = scalar_puf.evaluate_scalar(challenge, temperature, rng=make_rng(seed))
+            scalar = evaluate_scalar(
+                scalar_puf, challenge, temperature, rng=make_rng(seed)
+            )
         else:
             batched_puf._evaluations = scalar_puf._evaluations = seed
             batched = batched_puf.evaluate(challenge, temperature)
-            scalar = scalar_puf.evaluate_scalar(challenge, temperature)
+            scalar = evaluate_scalar(scalar_puf, challenge, temperature)
             assert batched_puf._evaluations == scalar_puf._evaluations
         _assert_identical(batched, scalar)
 
@@ -105,11 +108,13 @@ class TestMultiReadBitIdentity:
         scalar_puf = PreLatPUF(scalar_module, filter_passes=passes)
         if supplied:
             batched = batched_puf.evaluate(challenge, temperature, rng=make_rng(seed))
-            scalar = scalar_puf.evaluate_scalar(challenge, temperature, rng=make_rng(seed))
+            scalar = evaluate_scalar(
+                scalar_puf, challenge, temperature, rng=make_rng(seed)
+            )
         else:
             batched_puf._evaluations = scalar_puf._evaluations = seed
             batched = batched_puf.evaluate(challenge, temperature)
-            scalar = scalar_puf.evaluate_scalar(challenge, temperature)
+            scalar = evaluate_scalar(scalar_puf, challenge, temperature)
             assert batched_puf._evaluations == scalar_puf._evaluations
         _assert_identical(batched, scalar)
 
@@ -129,11 +134,13 @@ class TestMultiReadBitIdentity:
         )
         if supplied:
             batched = batched_puf.evaluate(challenge, temperature, rng=make_rng(seed))
-            scalar = scalar_puf.evaluate_scalar(challenge, temperature, rng=make_rng(seed))
+            scalar = evaluate_scalar(
+                scalar_puf, challenge, temperature, rng=make_rng(seed)
+            )
         else:
             batched_puf._evaluations = scalar_puf._evaluations = seed
             batched = batched_puf.evaluate(challenge, temperature)
-            scalar = scalar_puf.evaluate_scalar(challenge, temperature)
+            scalar = evaluate_scalar(scalar_puf, challenge, temperature)
             assert batched_puf._evaluations == scalar_puf._evaluations
         _assert_identical(batched, scalar)
 
@@ -171,20 +178,20 @@ class TestModuleKernels:
         fused = module.rcd_filtered_response(
             segment, 2.5, 100, 90, temperature_c=55.0, rng=make_rng(3)
         )
-        scalar = reference.rcd_filtered_response_scalar(
-            segment, 2.5, 100, 90, temperature_c=55.0, rng=make_rng(3)
+        scalar = rcd_filtered_response_scalar(
+            reference, segment, 2.5, 100, 90, temperature_c=55.0, rng=make_rng(3)
         )
         assert np.array_equal(fused, scalar)
 
     def test_fused_rcd_without_rng_falls_back_to_scalar_defaults(self):
         # With no supplied rng every chip derives its own default noise
         # stream; the fused kernel cannot reproduce that with one stream, so
-        # it must route to the scalar loop.
+        # it must run the per-chip loop.
         module, reference = _module_pair("A")
         segment = SegmentAddress(bank=1, row=0)
         assert np.array_equal(
             module.rcd_filtered_response(segment, 2.5, 5, 2),
-            reference.rcd_filtered_response_scalar(segment, 2.5, 5, 2),
+            rcd_filtered_response_scalar(reference, segment, 2.5, 5, 2),
         )
 
     def test_multi_read_validates_rngs(self):
@@ -213,6 +220,29 @@ class TestModuleKernels:
         for chip in module.chips:
             assert len(chip._rcd_profile_cache) == 0
             assert len(chip._sig_weak_cache) == 0
+
+
+class TestStreamConsumption:
+    @pytest.mark.parametrize(
+        "make_puf",
+        [
+            lambda module: CODICSigPUF(module, filter_passes=3),
+            lambda module: PreLatPUF(module, filter_passes=3),
+            lambda module: DRAMLatencyPUF(module, filter_reads=5, filter_threshold=2),
+        ],
+        ids=["codic", "prelat", "latency"],
+    )
+    def test_kernel_leaves_a_shared_stream_where_the_oracle_does(self, make_puf):
+        # Callers such as the fleet traffic kernel keep drawing from the
+        # stream they hand to evaluate(), so the kernel must consume exactly
+        # the draws of the per-pass loop, not merely return the same set.
+        module, reference = _module_pair("A")
+        challenge = _challenge((0, 0))
+        kernel_rng, oracle_rng = make_rng(21), make_rng(21)
+        kernel = make_puf(module).evaluate(challenge, rng=kernel_rng)
+        oracle = evaluate_scalar(make_puf(reference), challenge, rng=oracle_rng)
+        _assert_identical(kernel, oracle)
+        assert kernel_rng.integers(0, 2**31) == oracle_rng.integers(0, 2**31)
 
 
 class TestEvaluationsCounterParity:
@@ -245,41 +275,15 @@ class TestEvaluationsCounterParity:
         assert puf._evaluations == 2
 
     def test_default_seeded_sequences_interchange_with_scalar(self):
-        # A batched evaluate followed by a scalar one must continue the same
-        # default-seeded noise sequence as two scalar (or two batched) calls.
+        # A kernel evaluate followed by the oracle loop must continue the
+        # same default-seeded noise sequence as two oracle calls.
         module_a, module_b = _module_pair("B")
         challenge = _challenge((1, 3))
         mixed = DRAMLatencyPUF(module_a, filter_reads=5, filter_threshold=2)
         pure = DRAMLatencyPUF(module_b, filter_reads=5, filter_threshold=2)
         first_mixed = mixed.evaluate(challenge)
-        second_mixed = mixed.evaluate_scalar(challenge)
-        first_pure = pure.evaluate_scalar(challenge)
-        second_pure = pure.evaluate_scalar(challenge)
+        second_mixed = evaluate_scalar(mixed, challenge)
+        first_pure = evaluate_scalar(pure, challenge)
+        second_pure = evaluate_scalar(pure, challenge)
         assert np.array_equal(first_mixed.position_array, first_pure.position_array)
         assert np.array_equal(second_mixed.position_array, second_pure.position_array)
-
-
-class TestScalarEscapeHatch:
-    def test_env_var_forces_scalar_path(self, monkeypatch):
-        module, _ = _module_pair("A")
-        challenge = _challenge((0, 0))
-        monkeypatch.delenv(PUF_SCALAR_ENV_VAR, raising=False)
-        assert not scalar_mode_forced()
-        monkeypatch.setenv(PUF_SCALAR_ENV_VAR, "1")
-        assert scalar_mode_forced()
-        # evaluate() must produce the scalar loop's result (which is
-        # bit-identical anyway); prove the routing by checking the scalar
-        # loop's rng consumption pattern is used for a shared stream.
-        rng_forced = make_rng(21)
-        forced = CODICSigPUF(module, filter_passes=3).evaluate(
-            challenge, rng=rng_forced
-        )
-        rng_scalar = make_rng(21)
-        scalar = CODICSigPUF(module, filter_passes=3).evaluate_scalar(
-            challenge, rng=rng_scalar
-        )
-        assert np.array_equal(forced.position_array, scalar.position_array)
-        # Both consumed the stream identically: the next draw must agree.
-        assert rng_forced.integers(0, 2**31) == rng_scalar.integers(0, 2**31)
-        monkeypatch.setenv(PUF_SCALAR_ENV_VAR, "0")
-        assert not scalar_mode_forced()

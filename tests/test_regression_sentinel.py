@@ -253,3 +253,26 @@ class TestAgainstCommittedTrajectories:
             assert code == 0, name
             assert verdict["status"] == "ok", name
             assert verdict["series"], name
+
+    def test_fresh_fleet_entry_without_scalar_series_passes(
+        self, sentinel, tmp_path, capsys
+    ):
+        # The fleet benchmark no longer measures a `scalar` configuration;
+        # baseline series the fresh entry lacks are simply not compared.
+        root = Path(__file__).resolve().parent.parent
+        baseline = json.loads((root / "BENCH_fleet.json").read_text())
+        entry = dict(baseline["entries"][-1])
+        entry["auths_per_second"] = {
+            config: rates
+            for config, rates in entry["auths_per_second"].items()
+            if config != "scalar"
+        }
+        fresh = tmp_path / "fresh-fleet.json"
+        fresh.write_text(json.dumps(entry))
+        code, verdict, _ = _run(sentinel, capsys, [
+            "--fresh", str(fresh), "--baseline", str(root / "BENCH_fleet.json"),
+        ])
+        assert code == 0
+        assert verdict["status"] == "ok"
+        configs = {row["config"] for row in verdict["series"]}
+        assert configs == {"direct", "warm"}

@@ -4,7 +4,9 @@ Covers the determinism contract end to end: per-unit RNG streams
 (``StreamTree``), mergeable distributions, partition-independent Monte Carlo
 blocks, the ``ShardedJob`` split/merge protocol, sharded execution through
 the engine (including uneven shard sizes and multiple workers), shard-level
-cache reuse, LRU cache pruning, and the new CLI surface.
+cache reuse, LRU cache pruning, and the new CLI surface.  One property test
+covers the single ``RangeShard`` class over all four range-partitioned job
+kinds.
 """
 
 from __future__ import annotations
@@ -12,20 +14,27 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit.montecarlo import MC_SAMPLE_BLOCK, MonteCarloEngine
 from repro.engine import (
     ExperimentJob,
+    FleetEnrollJob,
+    FleetTrafficJob,
+    Job,
     MonteCarloPointJob,
-    MonteCarloShardJob,
     PUFPairsJob,
+    RangeShard,
     ResultCache,
+    canonical_json,
     monte_carlo_grid,
     run_sharded,
     shard_ranges,
 )
+from repro.engine import jobs as jobs_module
 from repro.experiments.__main__ import main
 from repro.experiments.registry import run_all
 from repro.puf.codic_puf import CODICSigPUF
@@ -119,9 +128,101 @@ class TestMonteCarloPartitionIndependence:
         ]
 
     def test_shard_job_round_trips_payload(self):
-        job = MonteCarloShardJob(4.0, 30.0, 0, 2_000)
+        job = RangeShard(MonteCarloPointJob(4.0, 30.0), 0, 2_000)
         flips = job.run()
         assert job.decode(job.encode(flips)) == flips
+
+
+#: The four range-partitioned parents, sized so any partition runs quickly.
+RANGE_PARENTS = {
+    "montecarlo": MonteCarloPointJob(4.0, 30.0, samples=3_000, seed=7),
+    "puf-pairs": PUFPairsJob(
+        puf="CODIC-sig PUF", mode="quality", pairs=6, seed=17, voltage="ddr3l"
+    ),
+    "fleet-traffic": FleetTrafficJob(
+        fleet_seed=11, devices=8, puf="CODIC-sig PUF", requests=12,
+        challenges_per_device=2, impostor_ratio=0.4, temperature_jitter_c=4.0,
+    ),
+    "fleet-enroll": FleetEnrollJob(
+        fleet_seed=11, devices=6, puf="CODIC-sig PUF", challenges_per_device=2
+    ),
+}
+
+#: Wire ``kind`` and dropped total field of each parent's shards.  Both feed
+#: cache keys and ``--stream`` events, so they must never change.
+WIRE_SHARDS = {
+    "montecarlo": ("montecarlo-shard", "samples"),
+    "puf-pairs": ("puf-pairs-shard", "pairs"),
+    "fleet-traffic": ("fleet-traffic-shard", "requests"),
+    "fleet-enroll": ("fleet-enroll-shard", "devices"),
+}
+
+
+@lru_cache(maxsize=None)
+def serial_encoding(name: str) -> str:
+    parent = RANGE_PARENTS[name]
+    return canonical_json(parent.encode(parent.run()))
+
+
+def expected_identity(name: str, start: int, stop: int) -> tuple[str, dict]:
+    """``(job_id, config)`` a shard of ``RANGE_PARENTS[name]`` must report."""
+    parent = RANGE_PARENTS[name]
+    if name == "montecarlo":
+        job_id = (
+            f"mc[{parent.variation_percent:g}%,{parent.temperature_c:g}C]"
+            f"[{start}:{stop}]"
+        )
+        return job_id, {
+            "variation_percent": parent.variation_percent,
+            "temperature_c": parent.temperature_c,
+            "start": start,
+            "stop": stop,
+            "seed": parent.seed,
+        }
+    total_field = WIRE_SHARDS[name][1]
+    config = {k: v for k, v in parent.config.items() if k != total_field}
+    return f"{parent.job_id}[{start}:{stop}]", {**config, "start": start, "stop": stop}
+
+
+class TestRangeShard:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_partition_merges_byte_identically(self, data):
+        name = data.draw(st.sampled_from(sorted(RANGE_PARENTS)))
+        parent = RANGE_PARENTS[name]
+        cuts = data.draw(st.sets(st.integers(1, parent.total - 1), max_size=4))
+        bounds = [0, *sorted(cuts), parent.total]
+        shards = [RangeShard(parent, a, b) for a, b in zip(bounds, bounds[1:])]
+        kind, _ = WIRE_SHARDS[name]
+        values = []
+        for shard, (start, stop) in zip(shards, zip(bounds, bounds[1:])):
+            assert shard.kind == kind
+            assert (shard.job_id, shard.config) == expected_identity(name, start, stop)
+            assert shard.shard_range() == (start, stop)
+            # Every shard value travels through the JSON cache encoding.
+            encoded = json.loads(json.dumps(shard.encode(shard.run())))
+            values.append(shard.decode(encoded))
+        merged = parent.merge(values)
+        assert canonical_json(parent.encode(merged)) == serial_encoding(name)
+
+    def test_wire_kinds_are_unchanged(self):
+        for name, parent in RANGE_PARENTS.items():
+            kind, total_field = WIRE_SHARDS[name]
+            assert (parent.shard_kind, parent.total_field) == (kind, total_field)
+            shard = RangeShard(parent, 0, 1)
+            assert shard.kind == kind
+            assert total_field not in shard.config
+
+    def test_jobs_module_defines_one_shard_class(self):
+        shard_classes = [
+            value
+            for value in vars(jobs_module).values()
+            if isinstance(value, type)
+            and issubclass(value, Job)
+            and value is not Job
+            and "shard_range" in vars(value)
+        ]
+        assert shard_classes == [RangeShard]
 
 
 class TestShardRanges:
@@ -310,7 +411,10 @@ class TestRunSharded:
 
 class TestCachePruning:
     def _fill(self, cache: ResultCache, count: int) -> list:
-        jobs = [MonteCarloShardJob(4.0, 30.0, 0, 100, seed=seed) for seed in range(count)]
+        jobs = [
+            RangeShard(MonteCarloPointJob(4.0, 30.0, seed=seed), 0, 100)
+            for seed in range(count)
+        ]
         for job in jobs:
             cache.put(job, job.run())
         return jobs

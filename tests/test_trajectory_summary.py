@@ -161,6 +161,30 @@ class TestMain:
         assert "BENCH_pair_kernels.json: ok" in out
         assert "BENCH_fleet.json: ok" in out
 
+    def test_entry_without_scalar_series_checks_and_renders(
+        self, summarize, tmp_path, capsys
+    ):
+        # New fleet entries carry only `direct` and `warm`; appended after
+        # the committed entries (which keep their `scalar` series) the
+        # trajectory must still validate and render, with gaps.
+        root = Path(__file__).resolve().parent.parent
+        fleet = json.loads((root / "BENCH_fleet.json").read_text())
+        entry = dict(fleet["entries"][-1], label="no-scalar")
+        entry["auths_per_second"] = {
+            config: rates
+            for config, rates in entry["auths_per_second"].items()
+            if config != "scalar"
+        }
+        fleet["entries"].append(entry)
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(fleet))
+        assert summarize.main(["--file", str(path), "--check"]) == 0
+        assert "fleet.json: ok" in capsys.readouterr().out
+        assert summarize.main(["--file", str(path)]) == 0
+        assert "no-scalar" in capsys.readouterr().out
+        assert summarize.main(["--file", str(path), "--sparkline"]) == 0
+        capsys.readouterr()
+
     def test_check_mode_flags_schema_violations(self, summarize, tmp_path, capsys):
         broken = {
             "schema_version": 1,
