@@ -133,10 +133,10 @@ class RangeJob(ShardedJob):
     """
 
     #: ``kind`` reported by this job's shards (cache keys, event streams).
-    shard_kind: str = "range-shard"
+    shard_kind: str
     #: Config field holding the unit count; shards drop it from their config,
     #: so growing the total re-uses every previously cached shard.
-    total_field: str = "total"
+    total_field: str
 
     @property
     def total(self) -> int:
