@@ -6,28 +6,31 @@ long-lived ``ProcessPoolExecutor`` (workers stay forked and warm) and
 layers an in-memory decoded-result index over the on-disk
 :class:`ResultCache` so a warm request never re-stats or re-reads a blob.
 The daemon hashes the source fingerprint once at start; clients send their
-own fingerprint with every submit and are refused (``stale`` frame) when
-the sources have changed since, so a long-lived daemon can never silently
-serve results computed by old code.
+own fingerprint with every work request and are refused (``stale`` frame)
+when the sources have changed since, so a long-lived daemon can never
+silently serve results computed by old code.
 
 Protocol -- length-prefixed NDJSON over ``AF_UNIX``.  Each frame is one JSON
 object serialized to a single line, preceded by its byte length on its own
 line (so consumers can pre-allocate and corrupt streams fail loudly)::
 
     22\n
-    {"op":"status","v":1}\n
+    {"op":"status","v":3}\n
 
-Requests (client -> daemon): ``submit`` (experiment ids + quick/shard_size;
-the daemon answers with one ``event`` frame per
-:class:`~repro.engine.executor.JobEvent` as shards land, then a ``done``
-frame carrying per-request cache stats), ``fleet`` (one fleet traffic job
-config; same event stream, done frame additionally carries this request's
-auth-latency histogram), ``cancel`` (abort an in-flight request by id),
-``metrics`` (Prometheus text exposition of the daemon's telemetry
-registry), ``dump``/``tail`` (the flight recorder's per-request diagnostic
-records; ``tail`` can ``follow`` the stream live), ``status``, ``ping``,
-and ``shutdown``.  Error responses are ``{"type": "error", "message":
-...}``.
+Requests (client -> daemon): ``run`` -- the one work op -- carries ``jobs``,
+a list of ``{"kind": ..., "config": ...}`` specs resolved through
+:data:`JOB_KINDS` (``experiment`` for a paper table or figure,
+``fleet-traffic`` for a fleet authentication run), plus the common fields
+``shard_size``, ``code_version``, ``timeout_s``, ``request_id``,
+``trace_id`` and ``parent_span``.  The daemon answers with one ``event``
+frame per :class:`~repro.engine.executor.JobEvent` as shards land, then a
+``done`` frame carrying the request's cache stats, its elapsed time and
+its auth-latency histogram.  The other ops are ``cancel`` (abort an
+in-flight request by id), ``metrics`` (Prometheus text exposition of the
+daemon's telemetry registry), ``dump``/``tail`` (the flight recorder's
+per-request diagnostic records; ``tail`` can ``follow`` the stream live),
+``status``, ``ping``, and ``shutdown``.  Error responses are ``{"type":
+"error", "message": ...}``.
 
 Request tracing: every work request runs under a ``trace_id`` -- adopted
 from the client's request frame when it sent one (so client, daemon, and
@@ -68,18 +71,18 @@ Service semantics (this is a multi-client daemon, not a one-shot pipe):
   queue entirely (each connection has its own thread), so health checks
   answer even while the queue is saturated.
 
-The daemon always runs with telemetry collection enabled: work requests
-(``submit``/``fleet``) are timed into the ``daemon_request_seconds``
-histogram and classified warm (every terminal outcome served from cache)
-vs cold; busy/timeout/cancelled/disconnect outcomes, queue wait and depth,
-and pool rebuilds are all counted too, and ``status`` embeds a full
-metrics snapshot plus service-health fields.
+The daemon always runs with telemetry collection enabled: ``run`` requests
+are timed into the ``daemon_request_seconds`` histogram and classified warm
+(every terminal outcome served from cache) vs cold; busy/timeout/cancelled/
+disconnect outcomes, queue wait and depth, and pool rebuilds are all counted
+too, and ``status`` embeds a full metrics snapshot plus service-health
+fields.
 
 The CLI degrades gracefully: when no daemon is listening on the socket
-(``$REPRO_DAEMON_SOCKET`` or the per-user default), or the daemon answers
-busy/timeout/stale, execution happens inline in the invoking process,
-bit-identically.  Fault injection for all of the above is driven by
-:mod:`repro.engine.faults` (``$REPRO_FAULTS``).
+(``$REPRO_DAEMON_SOCKET`` or the per-user default), or the daemon refuses or
+sheds a request before any output reached stdout, execution happens inline
+in the invoking process, bit-identically.  Fault injection for all of the
+above is driven by :mod:`repro.engine.faults` (``$REPRO_FAULTS``).
 """
 
 from __future__ import annotations
@@ -104,16 +107,22 @@ from repro import telemetry
 from repro.engine import faults as faults_mod
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.executor import CancelToken, PoolSupervisor
-from repro.engine.jobs import ExperimentJob
+from repro.engine.jobs import ExperimentJob, FleetTrafficJob, Job
 from repro.engine.sharding import iter_sharded
 
 #: Environment override for the daemon socket location.
 SOCKET_ENV = "REPRO_DAEMON_SOCKET"
 
 #: Protocol version stamped on every request/response frame.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
-#: Frame types that settle a submit/fleet stream.
+#: Root job kinds a ``run`` request may carry; each spec's ``config`` is
+#: passed to the class as keyword arguments.
+JOB_KINDS: dict[str, type[Job]] = {
+    cls.kind: cls for cls in (ExperimentJob, FleetTrafficJob)
+}
+
+#: Frame types that settle a ``run`` stream.
 TERMINAL_FRAME_TYPES = frozenset(
     {"done", "error", "stale", "busy", "timeout", "cancelled"}
 )
@@ -190,6 +199,33 @@ def recv_frame(rfile: BinaryIO) -> dict[str, Any] | None:
     return message
 
 
+def _build_jobs(specs: Any) -> list[Job]:
+    """Resolve a ``run`` request's job specs; :class:`ValueError` if malformed."""
+    from repro.experiments.registry import EXPERIMENTS
+
+    if not isinstance(specs, list) or not specs:
+        raise ValueError("run requires a non-empty jobs list")
+    jobs = []
+    for spec in specs:
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if kind not in JOB_KINDS:
+            raise ValueError(
+                f"unknown job kind {kind!r}; known kinds: {', '.join(JOB_KINDS)}"
+            )
+        try:
+            jobs.append(JOB_KINDS[kind](**spec.get("config", {})))
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"bad {kind} job config: {error}") from None
+    unknown = [
+        job.experiment_id
+        for job in jobs
+        if isinstance(job, ExperimentJob) and job.experiment_id not in EXPERIMENTS
+    ]
+    if unknown:
+        raise ValueError(f"unknown experiment(s): {', '.join(unknown)}")
+    return jobs
+
+
 class _ClientGone(Exception):
     """The peer of this connection vanished (or a fault dropped it)."""
 
@@ -202,9 +238,10 @@ def _lock_file(socket_path: Path) -> Path:
     return socket_path.with_name(socket_path.name + ".lock")
 
 
-def _read_pid_file(socket_path: Path) -> int | None:
+def _read_pid(path: Path) -> int | None:
+    """The pid stamped in a pid or lock file; ``None`` if absent or unstamped."""
     try:
-        return int(_pid_file(socket_path).read_text().strip())
+        return int(path.read_text().strip())
     except (OSError, ValueError):
         return None
 
@@ -234,28 +271,17 @@ def _acquire_bind_lock(socket_path: Path) -> Path:
         try:
             fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            try:
-                owner = int(lock_path.read_text().strip() or "0")
-            except (OSError, ValueError):
-                owner = 0
+            owner = _read_pid(lock_path)
+            if owner is None:
+                # Freshly created but not yet stamped with a pid -- give the
+                # creator a beat before declaring the lock stale.
+                time.sleep(0.05)
+                owner = _read_pid(lock_path)
             if owner and _pid_alive(owner):
                 raise DaemonError(
                     f"another daemon is binding {socket_path} "
                     f"(lock {lock_path} held by pid {owner})"
                 )
-            if owner == 0:
-                # Freshly created but not yet stamped with a pid -- give the
-                # creator a beat before declaring the lock stale.
-                time.sleep(0.05)
-                try:
-                    owner = int(lock_path.read_text().strip() or "0")
-                except (OSError, ValueError):
-                    owner = 0
-                if owner and _pid_alive(owner):
-                    raise DaemonError(
-                        f"another daemon is binding {socket_path} "
-                        f"(lock {lock_path} held by pid {owner})"
-                    )
             try:
                 lock_path.unlink()
             except OSError:
@@ -449,8 +475,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._send({"type": "dump", **daemon.recorder.dump()})
             elif op == "tail":
                 self._handle_tail(daemon, request)
-            elif op in ("submit", "fleet"):
-                self._handle_work(daemon, request, op)
+            elif op == "run":
+                self._handle_work(daemon, request)
             elif op == "cancel":
                 request_id = str(request.get("request_id") or "")
                 cancelled = daemon.cancel_request(request_id)
@@ -505,9 +531,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     idle_rounds = 0
                     self._send({"type": "keepalive"})
 
-    def _handle_work(
-        self, daemon: "ExperimentDaemon", request: dict[str, Any], op: str
-    ) -> None:
+    def _handle_work(self, daemon: "ExperimentDaemon", request: dict[str, Any]) -> None:
         """Admit, run, and settle one work request.
 
         Flow: validate (error/stale frames bypass the queue) -> register a
@@ -539,19 +563,12 @@ class _Handler(socketserver.StreamRequestHandler):
         """
         reg = telemetry.registry()
         reg.counter(telemetry.DAEMON_REQUESTS).inc()
-        prepared = (
-            self._prepare_submit(daemon, request)
-            if op == "submit"
-            else self._prepare_fleet(daemon, request)
-        )
-        if prepared is None:
+        jobs = self._prepare(daemon, request)
+        if jobs is None:
             return
+        # The flight recorder and the request span name the job kind(s).
+        op = ",".join(dict.fromkeys(job.kind for job in jobs))
         timeout_s = request.get("timeout_s")
-        if timeout_s is not None and (
-            not isinstance(timeout_s, (int, float)) or timeout_s <= 0
-        ):
-            self._refuse(daemon, "timeout_s must be a positive number")
-            return
         trace_id = request.get("trace_id")
         if not (isinstance(trace_id, str) and trace_id):
             trace_id = telemetry.new_trace_id()
@@ -618,34 +635,33 @@ class _Handler(socketserver.StreamRequestHandler):
                     "daemon.request", kind="daemon", parent=parent_span,
                     op=op, request_id=request_id,
                 ):
-                    done = self._run_work(daemon, request, op, prepared, token)
+                    done = self._run_work(daemon, request, jobs, token)
                 run_s = time.perf_counter() - start
                 if record is not None:
                     record.run_s = run_s
                 reg.histogram(telemetry.DAEMON_REQUEST_SECONDS).observe(run_s)
             finally:
                 daemon.queue.leave()
-            if token.cancelled:
+            if done is None:  # cancelled mid-stream (deadline, cancel, disconnect)
                 self._settle_cancelled(
                     reg, daemon, request_id, token, phase="running",
                     trace_id=trace_id,
                 )
                 return
-            if done is not None:
-                warm = done["misses"] == 0
-                reg.counter(
-                    telemetry.DAEMON_REQUESTS_WARM
-                    if warm
-                    else telemetry.DAEMON_REQUESTS_COLD
-                ).inc()
-                if record is not None:
-                    record.outcome = "done"
-                    record.warm = warm
-                    record.hits = done["hits"]
-                    record.misses = done["misses"]
-                    record.memory_hits = done["memory_hits"]
-                self._complete_record(daemon, str(done.get("type")))
-                self._send({**done, "request_id": request_id, "trace_id": trace_id})
+            warm = done["misses"] == 0
+            reg.counter(
+                telemetry.DAEMON_REQUESTS_WARM
+                if warm
+                else telemetry.DAEMON_REQUESTS_COLD
+            ).inc()
+            if record is not None:
+                record.outcome = "done"
+                record.warm = warm
+                record.hits = done["hits"]
+                record.misses = done["misses"]
+                record.memory_hits = done["memory_hits"]
+            self._complete_record(daemon, "done")
+            self._send({**done, "request_id": request_id, "trace_id": trace_id})
         except _ClientGone:
             token.cancel("disconnected")
             reg.counter(telemetry.DAEMON_DISCONNECTS).inc()
@@ -754,16 +770,17 @@ class _Handler(socketserver.StreamRequestHandler):
         if self._record is not None:
             self._record.count_frame(str(message.get("type")))
 
-    def _check_shard_size(self, request: dict[str, Any]) -> bool:
-        shard_size = request.get("shard_size")
-        if shard_size is not None and (not isinstance(shard_size, int) or shard_size <= 0):
-            self._send({"type": "error", "message": "shard_size must be a positive int"})
-            return False
-        return True
-
-    def _check_code_version(
+    def _prepare(
         self, daemon: "ExperimentDaemon", request: dict[str, Any]
-    ) -> bool:
+    ) -> list[Job] | None:
+        """Validate a ``run`` request into its root jobs.
+
+        Returns ``None`` once a refusal went out: a ``stale`` frame when the
+        client runs different sources (checked first, since the job table
+        itself may differ), else an ``error`` frame for a malformed request.
+        Validation happens *before* queue admission so malformed requests
+        never occupy a slot.
+        """
         # A client built from edited sources must not be served results (or
         # computations) from the daemon's stale code: refuse so the caller
         # can fall back inline and the operator can restart the daemon.
@@ -783,62 +800,29 @@ class _Handler(socketserver.StreamRequestHandler):
             if isinstance(trace_id, str) and trace_id:
                 frame["trace_id"] = trace_id
             self._send(frame)
-            return False
-        return True
-
-    def _prepare_submit(
-        self, daemon: "ExperimentDaemon", request: dict[str, Any]
-    ) -> list[ExperimentJob] | None:
-        """Validate a submit request into its root jobs (``None`` = refused,
-        an error/stale frame already went out).  Validation happens *before*
-        queue admission so malformed requests never occupy a slot."""
-        from repro.experiments.registry import EXPERIMENTS
-
-        experiments = request.get("experiments") or []
-        unknown = [eid for eid in experiments if eid not in EXPERIMENTS]
-        if not experiments or unknown:
-            self._refuse(
-                daemon,
-                f"unknown experiment(s): {', '.join(unknown)}"
-                if unknown
-                else "submit requires a non-empty experiments list",
-            )
-            return None
-        if not self._check_shard_size(request):
-            return None
-        if not self._check_code_version(daemon, request):
-            return None
-        quick = bool(request.get("quick", True))
-        return [ExperimentJob(eid, quick=quick) for eid in experiments]
-
-    def _prepare_fleet(
-        self, daemon: "ExperimentDaemon", request: dict[str, Any]
-    ) -> list[Any] | None:
-        """Validate a fleet request into its single traffic job (``None`` =
-        refused)."""
-        from repro.engine.jobs import FleetTrafficJob
-
-        config = request.get("job")
-        if not isinstance(config, dict):
-            self._refuse(daemon, "fleet requires a job config object")
-            return None
-        if not self._check_shard_size(request):
-            return None
-        if not self._check_code_version(daemon, request):
             return None
         try:
-            job = FleetTrafficJob(**config)
-        except (TypeError, ValueError) as error:
-            self._refuse(daemon, f"bad fleet job config: {error}")
+            jobs = _build_jobs(request.get("jobs"))
+            shard_size = request.get("shard_size")
+            if shard_size is not None and (
+                not isinstance(shard_size, int) or shard_size <= 0
+            ):
+                raise ValueError("shard_size must be a positive int")
+            timeout_s = request.get("timeout_s")
+            if timeout_s is not None and (
+                not isinstance(timeout_s, (int, float)) or timeout_s <= 0
+            ):
+                raise ValueError("timeout_s must be a positive number")
+        except ValueError as error:
+            self._refuse(daemon, str(error))
             return None
-        return [job]
+        return jobs
 
     def _run_work(
         self,
         daemon: "ExperimentDaemon",
         request: dict[str, Any],
-        op: str,
-        jobs: list[Any],
+        jobs: list[Job],
         token: CancelToken,
     ) -> dict[str, Any] | None:
         """Stream one admitted request's events; returns the unsent ``done``
@@ -850,10 +834,10 @@ class _Handler(socketserver.StreamRequestHandler):
         shards land in the cache (a reconnecting client gets them warm) and
         queued shards are cancelled by the engine's drain contract.
 
-        For fleet requests the done frame carries this request's per-auth
-        latency histogram -- the delta of the daemon registry's
-        ``fleet_auth_request_seconds`` across the run (exact bucket
-        arithmetic; like ``memory_hits`` it is only attributable to one
+        The done frame carries the request's per-auth latency histogram --
+        the delta of the daemon registry's ``fleet_auth_request_seconds``
+        across the run (exact bucket arithmetic; empty unless the request
+        ran fleet traffic, and like ``memory_hits`` only attributable to one
         request while requests do not overlap).
         """
         reg = telemetry.registry()
@@ -861,10 +845,8 @@ class _Handler(socketserver.StreamRequestHandler):
         trace_id = telemetry.current_trace_id()
         roots = {id(job) for job in jobs}
         memory0 = daemon.cache.memory_hits
-        auth_latency = before = None
-        if op == "fleet":
-            auth_latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
-            before = telemetry.Histogram.from_dict(auth_latency.to_dict())
+        auth_latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
+        before = telemetry.Histogram.from_dict(auth_latency.to_dict())
         start = time.perf_counter()
         served = computed = 0
         client_gone = False
@@ -873,8 +855,6 @@ class _Handler(socketserver.StreamRequestHandler):
             shard_size=request.get("shard_size"),
             workers=daemon.workers,
             cache=daemon.cache,
-            fail_fast=bool(request.get("fail_fast", True)),
-            ordered=bool(request.get("ordered", False)) if op == "submit" else False,
             pool=daemon.supervisor,
             cancel=token,
         ):
@@ -911,18 +891,16 @@ class _Handler(socketserver.StreamRequestHandler):
         if client_gone or token.cancelled:
             return None
         # hits/misses are derived from this request's own events (exact even
-        # under concurrent submits); memory_hits is a global-counter delta and
-        # therefore only attributable when requests do not overlap.
-        done = {
+        # under concurrent requests); memory_hits is a global-counter delta
+        # and therefore only attributable when requests do not overlap.
+        return {
             "type": "done",
             "hits": served,
             "misses": computed,
             "memory_hits": daemon.cache.memory_hits - memory0,
+            "elapsed_s": round(time.perf_counter() - start, 6),
+            "latency": auth_latency.subtract(before).to_dict(),
         }
-        if op == "fleet":
-            done["elapsed_s"] = round(time.perf_counter() - start, 6)
-            done["latency"] = auth_latency.subtract(before).to_dict()
-        return done
 
 
 if hasattr(socketserver, "ThreadingUnixStreamServer"):
@@ -986,11 +964,6 @@ class ExperimentDaemon:
         self.trace_path = Path(trace) if trace else None
         if self.trace_path is not None:
             telemetry.enable_tracing(telemetry.TraceWriter(self.trace_path))
-
-    @property
-    def pool(self) -> PoolSupervisor:
-        """The work pool (supervisor-wrapped; kept for API compatibility)."""
-        return self.supervisor
 
     def count_request(self) -> None:
         with self._counters_lock:
@@ -1198,21 +1171,19 @@ class DaemonClient:
         except OSError as error:
             raise DaemonError(f"daemon connection failed: {error}") from None
 
-    def submit(
+    def run(
         self,
-        experiments: list[str],
+        jobs: list[Job],
         *,
-        quick: bool = True,
         shard_size: int | None = None,
-        ordered: bool = False,
-        fail_fast: bool = True,
         code_version: str | None = None,
         timeout_s: float | None = None,
         request_id: str | None = None,
         trace_id: str | None = None,
         parent_span: str | None = None,
     ) -> Iterator[dict[str, Any]]:
-        """Submit experiments; yield ``event`` frames then the ``done`` frame.
+        """Run root jobs on the daemon; yield ``event`` frames, then the
+        terminal frame (``done`` on success).
 
         Pass the client's :func:`~repro.engine.cache.source_fingerprint` as
         ``code_version`` to be refused (a single ``stale`` frame) when the
@@ -1228,12 +1199,9 @@ class DaemonClient:
         return self._stream(
             {
                 "v": PROTOCOL_VERSION,
-                "op": "submit",
-                "experiments": list(experiments),
-                "quick": quick,
+                "op": "run",
+                "jobs": [{"kind": job.kind, "config": job.config} for job in jobs],
                 "shard_size": shard_size,
-                "ordered": ordered,
-                "fail_fast": fail_fast,
                 "code_version": code_version,
                 "timeout_s": timeout_s,
                 "request_id": request_id,
@@ -1242,35 +1210,15 @@ class DaemonClient:
             }
         )
 
-    def fleet(
-        self,
-        job_config: dict[str, Any],
-        *,
-        shard_size: int | None = None,
-        code_version: str | None = None,
-        timeout_s: float | None = None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-        parent_span: str | None = None,
+    def submit(
+        self, experiments: list[str], *, quick: bool = True, **common: Any
     ) -> Iterator[dict[str, Any]]:
-        """Submit one fleet traffic job config; yield ``event`` frames then
-        the ``done`` frame (which carries the request's auth-latency
-        histogram).  Staleness/deadline/cancel/trace-context semantics match
-        :meth:`submit`.
-        """
-        return self._stream(
-            {
-                "v": PROTOCOL_VERSION,
-                "op": "fleet",
-                "job": dict(job_config),
-                "shard_size": shard_size,
-                "code_version": code_version,
-                "timeout_s": timeout_s,
-                "request_id": request_id,
-                "trace_id": trace_id,
-                "parent_span": parent_span,
-            }
-        )
+        """:meth:`run` one :class:`ExperimentJob` per experiment id."""
+        return self.run([ExperimentJob(eid, quick=quick) for eid in experiments], **common)
+
+    def fleet(self, job_config: dict[str, Any], **common: Any) -> Iterator[dict[str, Any]]:
+        """:meth:`run` one :class:`FleetTrafficJob` built from ``job_config``."""
+        return self.run([FleetTrafficJob(**job_config)], **common)
 
     def cancel(self, request_id: str) -> bool:
         """Cancel an in-flight request by id; ``True`` when one was found."""
@@ -1438,8 +1386,10 @@ def stop_daemon(
     published pid is alive -- raises :class:`DaemonError` telling the
     operator to retry with force.
 
-    The forced path SIGKILLs the pid from ``<socket>.pid`` and cleans up the
-    socket/pid files the daemon can no longer remove itself.
+    The forced path SIGKILLs the pid from ``<socket>.pid`` -- the whole
+    process group when that pid leads one, as a :func:`start_daemon` daemon
+    does, so its pool workers die with it -- and cleans up the socket/pid
+    files the daemon can no longer remove itself.
     """
     path = Path(socket_path) if socket_path else default_socket_path()
     # Short probe timeouts: a wedged daemon accepts into the kernel backlog
@@ -1458,7 +1408,7 @@ def stop_daemon(
             if not client.is_running():
                 return "graceful"
             time.sleep(0.05)
-    pid = _read_pid_file(path)
+    pid = _read_pid(_pid_file(path))
     if not acknowledged and (pid is None or not _pid_alive(pid)):
         return False  # nothing answering and no live pid: no daemon runs
     state = (
@@ -1477,7 +1427,12 @@ def stop_daemon(
             f"({_pid_file(path)}) to SIGKILL"
         )
     try:
-        os.kill(pid, signal.SIGKILL)
+        # start_daemon gives the daemon its own session, so its forked pool
+        # workers share its process group: kill the group, or they outlive it.
+        if os.getpgid(pid) == pid:
+            os.killpg(pid, signal.SIGKILL)
+        else:
+            os.kill(pid, signal.SIGKILL)
     except ProcessLookupError:
         pass
     deadline = time.time() + max(wait_s, 1.0)

@@ -33,11 +33,15 @@ stream rows instead of blocking on a global barrier.  ``--stream`` exposes
 the raw event stream as NDJSON lines on stdout.
 
 When a warm daemon is listening (``daemon start``; socket from
-``$REPRO_DAEMON_SOCKET`` or a per-user default) and the invocation does not
-pin a local cache (``--cache-dir``/``--no-cache``), execution is routed
-through it: the daemon's long-lived worker pool and in-memory result index
-skip pool spin-up and per-request disk reads.  Without a daemon the exact
-same events are produced inline -- output is byte-identical either way.
+``$REPRO_DAEMON_SOCKET`` or a per-user default), both the experiment CLI
+and ``fleet`` route through it, unless ``--no-daemon`` is given or the call
+pins local state the daemon cannot honour (``--cache-dir``/``--no-cache``/
+``--cache-max-mb``, or ``fleet --warm-store``): the daemon's long-lived
+worker pool and in-memory result index skip pool spin-up and per-request
+disk reads.  A refused or shed request runs inline instead as long as
+nothing reached stdout yet (:func:`_route` holds the one rule table; the
+README states it) -- output is byte-identical either way, and ``--trace``
+joins the daemon's spans under this call's root span.
 
 Results are served from a content-addressed on-disk cache (``--cache-dir``,
 default ``$REPRO_CACHE_DIR`` or ``./.repro-cache``) keyed by experiment
@@ -58,6 +62,8 @@ import json
 import random
 import sys
 import time
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from repro import telemetry
 from repro.engine import (
@@ -79,11 +85,67 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS
 
 
+def _common_parser() -> argparse.ArgumentParser:
+    """Flags shared by the experiment CLI and the ``fleet`` subcommand."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="number of worker processes (default: 1, serial); "
+                        "a daemon-routed call runs on the daemon's pool instead")
+    common.add_argument("--shard-size", type=int, default=None, metavar="N",
+                        help="split sharded work (Monte Carlo samples, Jaccard "
+                        "pairs, fleet requests) into shards of N units "
+                        "scheduled across the workers; results are "
+                        "bit-identical for any value")
+    common.add_argument("--json", action="store_true", dest="as_json",
+                        help="emit one JSON document on stdout instead of "
+                        "rendered tables")
+    common.add_argument("--no-daemon", action="store_true",
+                        help="never route execution through a running warm daemon")
+    common.add_argument("--trace", default=None, metavar="FILE",
+                        help="append one NDJSON span record per timed region "
+                        "to FILE; a daemon-routed call parents the daemon's "
+                        "spans (written to the daemon's own --trace file) "
+                        "under this call's root span, one trace id "
+                        "throughout; summarize with "
+                        "benchmarks/summarize_trace.py")
+    return common
+
+
+def _common_error(args: argparse.Namespace) -> str | None:
+    """Why the shared flags are invalid, or ``None`` when they are fine."""
+    if args.jobs < 1:
+        return "--jobs must be a positive worker count"
+    if args.shard_size is not None and args.shard_size <= 0:
+        return "--shard-size must be positive"
+    return None
+
+
+@contextmanager
+def _telemetry_scope(trace: str | None, *, collect: bool) -> Iterator[None]:
+    """Collect metrics (when ``collect`` or tracing) and write spans to
+    ``trace`` for one call, restoring the process-wide state afterwards."""
+    was_collecting = telemetry.collection_enabled()
+    writer = telemetry.TraceWriter(trace) if trace is not None else None
+    if collect or writer is not None:
+        telemetry.enable_collection()
+    if writer is not None:
+        telemetry.enable_tracing(writer)
+    try:
+        yield
+    finally:
+        if writer is not None:
+            telemetry.disable_tracing()
+            writer.close()
+        if not was_collecting:
+            telemetry.disable_collection()
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Command-line interface definition."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the tables and figures of the CODIC paper.",
+        parents=[_common_parser()],
     )
     parser.add_argument(
         "experiments",
@@ -101,22 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="list_experiments",
         help="list the available experiment identifiers and exit",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="number of worker processes (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="split shardable experiments into shards of N units (Monte Carlo "
-        "samples / Jaccard pairs) scheduled across --jobs workers; results "
-        "are bit-identical for any value",
     )
     parser.add_argument(
         "--cache-dir",
@@ -138,29 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the store fits this budget",
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit one JSON document on stdout instead of rendered tables",
-    )
-    parser.add_argument(
         "--stream",
         action="store_true",
         help="emit one NDJSON engine event per line on stdout as shards and "
         "experiments complete (instead of rendered tables)",
-    )
-    parser.add_argument(
-        "--no-daemon",
-        action="store_true",
-        help="never route execution through a running warm daemon",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="append one NDJSON span record per timed region to FILE "
-        "(forces inline execution so spans cover this process and its "
-        "workers); summarize with benchmarks/summarize_trace.py",
     )
     return parser
 
@@ -224,8 +251,12 @@ class _EventRenderer:
                 print(ExperimentResult.from_dict(payload["value"]).render())
                 self.rendered += 1
 
-    def finish(self) -> int:
-        """Emit the final document / failure report; returns an exit code."""
+    def finish(self, done: dict | None = None) -> int:
+        """Emit the final document / failure report; returns an exit code.
+
+        ``done`` is the daemon's ``done`` frame when the run was routed; its
+        cache stats are reported on stderr.
+        """
         if self.failures:
             ids = ", ".join(dict.fromkeys(f["job"] for f in self.failures))
             print(f"{len(self.failures)} job(s) failed: {ids}", file=sys.stderr)
@@ -239,18 +270,49 @@ class _EventRenderer:
         if self.as_json:
             document = {eid: self.report[eid] for eid in self.selected}
             print(json.dumps(document, indent=2))
+        if done is not None:
+            stats = CacheStats(hits=done["hits"], misses=done["misses"])
+            print(
+                f"cache: {stats.summary()}, {done['memory_hits']} from memory "
+                f"index (daemon)",
+                file=sys.stderr,
+            )
         return 0
 
 
-def _progress_stats_line(hits: int, misses: int, suffix: str = "") -> str:
-    return f"cache: {CacheStats(hits=hits, misses=misses).summary()}{suffix}"
+class _FleetReply:
+    """Routing sink for ``fleet``: holds the traffic job's payload until the
+    ``done`` frame, so nothing reaches stdout before the reply is complete."""
+
+    emitted = False
+
+    def __init__(self) -> None:
+        self.value: dict | None = None
+        self.errors: list[str] = []
+        self.latency: telemetry.Histogram | None = None
+
+    def feed(self, payload: dict) -> None:
+        if payload.get("error"):
+            self.errors.append(payload["error"])
+        if "value" in payload:
+            self.value = payload["value"]
+
+    def finish(self, done: dict) -> int:
+        self.latency = telemetry.Histogram.from_dict(done["latency"])
+        if self.value is None:
+            print("fleet run failed in the daemon:", *self.errors, sep="\n", file=sys.stderr)
+            return 1
+        return 0
 
 
-#: Client-side attempts against a saturated daemon (``busy`` frames or a
-#: connection dropped before any output) before degrading to inline
-#: execution.  Patchable in tests to keep retry paths fast.
+#: Client-side attempts against a saturated or unreachable daemon (``busy``
+#: frames, or a connection dropped before any output) before degrading to
+#: inline execution.  Patchable in tests to keep retry paths fast.
 _RETRY_ATTEMPTS = 3
 _RETRY_BASE_S = 0.1
+
+#: Attempt endings worth retrying: the daemon may free up or come back.
+_RETRYABLE = ("busy", "dropped")
 
 
 def _retry_delay(attempt: int) -> float:
@@ -258,17 +320,52 @@ def _retry_delay(attempt: int) -> float:
     return _RETRY_BASE_S * (2**attempt) + random.uniform(0.0, 0.05)
 
 
-def _run_via_daemon(args, selected: list[str]) -> int | None:
-    """Route the run through a live daemon; ``None`` means fall back inline.
+def _should_route(args: argparse.Namespace) -> bool:
+    """Route unless ``--no-daemon`` is given or the call pins local state the
+    daemon cannot honour: a local result cache (``--cache-dir``,
+    ``--no-cache``, ``--cache-max-mb``) or a warm golden store
+    (``fleet --warm-store``; the daemon rebuilds jobs from their config)."""
+    options = vars(args)
+    pins_local_state = (
+        options.get("cache_dir") is not None
+        or options.get("no_cache", False)
+        or options.get("cache_max_mb") is not None
+        or options.get("warm_store", False)
+    )
+    return not (args.no_daemon or pins_local_state)
 
-    Degradation is uniform: a saturated daemon (``busy`` frame) or a
-    connection that drops before any output is retried with jittered
-    backoff and then falls back inline; ``stale``/``timeout``/``cancelled``
-    frames fall back inline at once (nothing reached stdout yet); a daemon
-    that dies *after* producing output is reported as a failure instead of
-    silently recomputing, since fallback is only safe before any output.
+
+def _route(args: argparse.Namespace, jobs: list, new_sink: Callable[[], Any]):
+    """Serve ``jobs`` through a live daemon; ``None`` means run inline.
+
+    ``new_sink()`` makes a fresh consumer for each attempt: ``feed(event)``
+    takes every event payload, ``emitted`` tells whether anything reached
+    stdout, and ``finish(done_frame)`` returns the exit code.  Once the call
+    is settled this returns ``(exit_code, sink)``.  One rule table covers
+    both subcommands:
+
+    * ``done`` settles the call with the sink's exit code;
+    * once output reached stdout, any other ending exits 1 -- re-running
+      would duplicate it;
+    * before any output, ``busy`` or a dropped/refused connection is retried
+      with jittered backoff up to ``_RETRY_ATTEMPTS`` times and then runs
+      inline, while ``stale``/``timeout``/``cancelled``/``error`` run inline
+      at once.
+
+    The call's trace context rides along: the daemon adopts this process's
+    ``trace_id`` and parents its ``daemon.request`` span under the caller's
+    root span, so a traced routed call forms one tree across client, daemon
+    and the daemon's pool workers.
     """
-    client = DaemonClient()
+    if not _should_route(args):
+        return None
+    try:
+        client = DaemonClient()
+    except DaemonError as error:
+        # e.g. a tampered default socket directory: never trust it, but the
+        # call itself can still proceed inline.
+        print(f"daemon unavailable ({error}); running inline", file=sys.stderr)
+        return None
     if not client.is_running():
         return None
     print(f"daemon: routing via {client.socket_path}", file=sys.stderr)
@@ -279,72 +376,34 @@ def _run_via_daemon(args, selected: list[str]) -> int | None:
             file=sys.stderr,
         )
     for attempt in range(_RETRY_ATTEMPTS + 1):
-        status, code = _daemon_attempt(client, args, selected)
-        if status == "retry" and attempt < _RETRY_ATTEMPTS:
-            time.sleep(_retry_delay(attempt))
-            continue
-        if status == "retry":
-            print("daemon: retry budget exhausted; running inline", file=sys.stderr)
+        if attempt:
+            time.sleep(_retry_delay(attempt - 1))
+        sink = new_sink()
+        try:
+            # The stream ends with its terminal frame or raises.
+            for frame in client.run(
+                jobs,
+                shard_size=args.shard_size,
+                code_version=source_fingerprint(),
+                trace_id=telemetry.current_trace_id(),
+                parent_span=telemetry.current_span_id(),
+            ):
+                if frame["type"] == "event":
+                    sink.feed(frame["event"])
+        except DaemonError as error:
+            frame = {"type": "dropped", "message": str(error)}
+        kind = frame["type"]
+        if kind == "done":
+            return sink.finish(frame), sink
+        print(f"daemon {kind}: {frame.get('message')}", file=sys.stderr)
+        if sink.emitted:
+            print("daemon: output already written to stdout; not retrying", file=sys.stderr)
+            return 1, sink
+        if kind not in _RETRYABLE:
+            print("daemon: running inline", file=sys.stderr)
             return None
-        if status == "inline":
-            return None
-        return code  # "done" or "fatal"
-    return None  # unreachable; the loop always returns
-
-
-def _daemon_attempt(
-    client: DaemonClient, args, selected: list[str]
-) -> tuple[str, int | None]:
-    """One daemon round-trip for :func:`_run_via_daemon`.
-
-    Returns ``(status, exit_code)``: ``("done", code)`` when the stream
-    completed, ``("fatal", 1)`` for failures that must not be recomputed
-    inline, ``("inline", None)`` to fall back, ``("retry", None)`` when
-    another attempt is safe (no output has been produced).
-    """
-    renderer = _EventRenderer(selected, as_json=args.as_json, stream=args.stream)
-    try:
-        for frame in client.submit(
-            selected,
-            quick=not args.full,
-            shard_size=args.shard_size,
-            code_version=source_fingerprint(),
-            trace_id=telemetry.current_trace_id(),
-        ):
-            kind = frame.get("type")
-            if kind == "event":
-                renderer.feed(frame["event"])
-            elif kind == "busy":
-                print(f"daemon busy: {frame.get('message')}", file=sys.stderr)
-                return ("retry", None)
-            elif kind in ("stale", "timeout", "cancelled"):
-                print(
-                    f"daemon: {frame.get('message')}; running inline",
-                    file=sys.stderr,
-                )
-                return ("inline", None)
-            elif kind == "done":
-                code = renderer.finish()
-                if code == 0:
-                    print(
-                        _progress_stats_line(
-                            frame.get("hits", 0),
-                            frame.get("misses", 0),
-                            f", {frame.get('memory_hits', 0)} from memory index (daemon)",
-                        ),
-                        file=sys.stderr,
-                    )
-                return ("done", code)
-            elif kind == "error":
-                print(f"daemon error: {frame.get('message')}", file=sys.stderr)
-                return ("fatal", 1)
-    except DaemonError as error:
-        if renderer.emitted:
-            print(f"daemon stream failed: {error}", file=sys.stderr)
-            return ("fatal", 1)
-        print(f"daemon unreachable ({error}); retrying", file=sys.stderr)
-        return ("retry", None)
-    return ("fatal", 1)  # stream ended without a terminal frame
+    print("daemon: retry budget exhausted; running inline", file=sys.stderr)
+    return None
 
 
 def _cache_prune_main(argv: list[str]) -> int:
@@ -383,75 +442,6 @@ def _cache_prune_main(argv: list[str]) -> int:
     return 0
 
 
-def _fleet_via_daemon(
-    job, shard_size: int | None
-) -> tuple[dict, "telemetry.Histogram"] | None:
-    """Route one fleet job through a live daemon.
-
-    Returns ``(encoded_value, latency_histogram)`` on success, or ``None``
-    when the run must happen inline instead (no daemon, stale daemon, a
-    daemon too old to know the ``fleet`` op, or a stream that died).
-    Falling back is always safe here: nothing reaches stdout until the
-    daemon's ``done`` frame has been fully consumed.
-
-    The invocation's trace context rides along: the daemon adopts this
-    process's ``trace_id`` and parents its ``daemon.request`` span under the
-    client's active span, so a traced daemon-routed request forms one tree
-    across client, daemon, and the daemon's pool workers.
-    """
-    client = DaemonClient()
-    if not client.is_running():
-        return None
-    print(f"daemon: routing via {client.socket_path}", file=sys.stderr)
-    for attempt in range(_RETRY_ATTEMPTS + 1):
-        value: dict | None = None
-        retry = False
-        try:
-            for frame in client.fleet(
-                job.config,
-                shard_size=shard_size,
-                code_version=source_fingerprint(),
-                trace_id=telemetry.current_trace_id(),
-                parent_span=telemetry.current_span_id(),
-            ):
-                kind = frame.get("type")
-                if kind == "event":
-                    if "value" in frame.get("event", {}):
-                        value = frame["event"]["value"]
-                elif kind == "busy":
-                    print(f"daemon busy: {frame.get('message')}", file=sys.stderr)
-                    retry = True
-                    break
-                elif kind in ("stale", "timeout", "cancelled", "error"):
-                    # e.g. a daemon from before the fleet op, or one that shed
-                    # this request; nothing has been printed on stdout yet, so
-                    # inline execution is always safe here.
-                    print(
-                        f"daemon: {frame.get('message')}; running inline",
-                        file=sys.stderr,
-                    )
-                    return None
-                elif kind == "done":
-                    if value is None:
-                        print(
-                            "daemon: stream ended without a result; running inline",
-                            file=sys.stderr,
-                        )
-                        return None
-                    return value, telemetry.Histogram.from_dict(frame["latency"])
-        except DaemonError as error:
-            # The whole stream buffers until ``done``, so a dropped
-            # connection is always retry-safe.
-            print(f"daemon stream failed ({error}); retrying", file=sys.stderr)
-            retry = True
-        if not retry:
-            return None  # stream ended without a terminal frame
-        if attempt < _RETRY_ATTEMPTS:
-            time.sleep(_retry_delay(attempt))
-    print("daemon: retry budget exhausted; running inline", file=sys.stderr)
-    return None
-
-
 def _fleet_main(argv: list[str]) -> int:
     """``fleet`` subcommand: one ad-hoc fleet authentication traffic run.
 
@@ -461,12 +451,11 @@ def _fleet_main(argv: list[str]) -> int:
     ``--shard-size``, with or without ``--warm-store``, and identical inline
     or through a warm daemon) and reports FAR/FRR at the given acceptance
     threshold plus service-grade latency: auths/sec throughput and
-    p50/p95/p99 per-request latency from the fleet auth histogram.  In ``--json`` those wall-clock readings live
-    under the volatile ``elapsed_seconds``/``auths_per_second``/``latency``
-    keys; every other field is deterministic.
+    p50/p95/p99 per-request latency from the fleet auth histogram.  In
+    ``--json`` those wall-clock readings live under the volatile
+    ``elapsed_seconds``/``auths_per_second``/``latency`` keys; every other
+    field is deterministic.
     """
-    import time
-
     from repro.engine import FleetTrafficJob
     from repro.engine.sharding import run_sharded
     from repro.fleet.devices import FLEET_PUF_FACTORIES
@@ -477,6 +466,7 @@ def _fleet_main(argv: list[str]) -> int:
         prog="python -m repro.experiments fleet",
         description="Replay an authentication traffic stream against a "
         "simulated device fleet and report FAR/FRR/throughput.",
+        parents=[_common_parser()],
     )
     parser.add_argument("--devices", type=int, default=1000, metavar="N",
                         help="fleet size (default: 1000)")
@@ -502,33 +492,17 @@ def _fleet_main(argv: list[str]) -> int:
                         "(default: 1.0)")
     parser.add_argument("--seed", type=int, default=4242, metavar="S",
                         help="fleet seed (default: 4242)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default: 1, serial)")
-    parser.add_argument("--shard-size", type=int, default=None, metavar="N",
-                        help="split the stream into request blocks of N")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit one JSON document on stdout")
     parser.add_argument("--warm-store", action="store_true",
                         help="eagerly enroll the whole fleet first (sharded "
                         "FleetEnrollJob) and hand the golden store to the "
                         "traffic workers, so no shard re-enrolls lazily "
                         "(bit-identical results; forces inline execution)")
-    parser.add_argument("--no-daemon", action="store_true",
-                        help="never route the run through a warm daemon")
-    parser.add_argument("--trace", default=None, metavar="FILE",
-                        help="append NDJSON span records to FILE; daemon-routed "
-                        "runs write this process's spans here (the daemon's own "
-                        "spans go to its --trace file, joined under one trace "
-                        "id), inline runs cover the whole request")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be a positive worker count", file=sys.stderr)
-        return 2
-    if args.shard_size is not None and args.shard_size <= 0:
-        print("--shard-size must be positive", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.threshold <= 1.0:
-        print("--threshold must be in [0, 1]", file=sys.stderr)
+    error = _common_error(args)
+    if error is None and not 0.0 <= args.threshold <= 1.0:
+        error = "--threshold must be in [0, 1]"
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
 
     job = FleetTrafficJob(
@@ -559,9 +533,8 @@ def _fleet_main(argv: list[str]) -> int:
     # A single traffic job only parallelizes through request sharding, so
     # --jobs without an explicit --shard-size defaults to an even split
     # (results are bit-identical for any value).
-    shard_size = args.shard_size
-    if shard_size is None and args.jobs > 1:
-        shard_size = -(-args.requests // args.jobs)
+    if args.shard_size is None and args.jobs > 1:
+        args.shard_size = -(-args.requests // args.jobs)
 
     if args.warm_store:
         # Enroll the whole fleet up front (device-sharded across the same
@@ -596,50 +569,26 @@ def _fleet_main(argv: list[str]) -> int:
     # service-grade report); the per-request delta of the shared histogram
     # attributes this run's observations even when earlier runs in the same
     # process already recorded some.
-    was_collecting = telemetry.collection_enabled()
-    telemetry.enable_collection()
-    trace_writer: telemetry.TraceWriter | None = None
-    if args.trace is not None:
-        trace_writer = telemetry.TraceWriter(args.trace)
-        telemetry.enable_tracing(trace_writer)
-    try:
+    with _telemetry_scope(args.trace, collect=True):
         start = time.perf_counter()
-        routed = None
-        # One root span covers the whole request either way: daemon-routed
-        # runs hand its id to the daemon as parent_span, so the daemon's
-        # spans (and its workers') join this tree under one trace id.
+        # One root span covers the whole request either way: a routed run
+        # hands its id to the daemon as parent_span.
         with telemetry.span("fleet.request", kind="fleet", requests=args.requests):
-            # A warm store cannot ride through the daemon protocol (jobs are
-            # rebuilt from their JSON config there), so --warm-store runs
-            # inline.
-            if not args.no_daemon and not args.warm_store:
-                try:
-                    routed = _fleet_via_daemon(job, shard_size)
-                except DaemonError as error:
-                    # e.g. a tampered default socket directory -- never trust
-                    # it, but the run itself still proceeds inline.
-                    print(
-                        f"daemon unavailable ({error}); running inline",
-                        file=sys.stderr,
-                    )
+            routed = _route(args, [job], _FleetReply)
             if routed is not None:
-                payload, latency = routed
-                value = job.decode(payload)
+                code, reply = routed
+                if code:
+                    return code
+                value, latency = job.decode(reply.value), reply.latency
             else:
                 reg = telemetry.registry()
                 auth_latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
                 before = telemetry.Histogram.from_dict(auth_latency.to_dict())
                 value = run_sharded(
-                    [job], shard_size=shard_size, workers=args.jobs, cache=None
+                    [job], shard_size=args.shard_size, workers=args.jobs, cache=None
                 )[0].value
                 latency = auth_latency.subtract(before)
         elapsed = time.perf_counter() - start
-    finally:
-        if trace_writer is not None:
-            telemetry.disable_tracing()
-            trace_writer.close()
-        if not was_collecting:
-            telemetry.disable_collection()
 
     summary = TrafficSummary.from_payload(value)
     percentiles = telemetry.percentiles_ms(latency)
@@ -808,28 +757,18 @@ def _daemon_main(argv: list[str]) -> int:
                 help="grace period for orderly shutdown (default: 10)",
             )
     args = parser.parse_args(argv)
-    if args.action in ("start", "run") and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.action in ("start", "run") and (
-        args.max_inflight < 1 or args.queue_depth < 0
-    ):
-        print(
-            "--max-inflight must be >= 1 and --queue-depth must be >= 0",
-            file=sys.stderr,
-        )
-        return 2
-    if args.action in ("start", "run") and (
-        args.recorder_capacity < 0 or args.slow_request_s <= 0
-    ):
-        print(
-            "--recorder-capacity must be >= 0 and --slow-request-s must be "
-            "positive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.action == "tail" and args.count < 0:
-        print("--count must be non-negative", file=sys.stderr)
+    error = None
+    if args.action in ("start", "run"):
+        if args.workers < 1:
+            error = "--workers must be >= 1"
+        elif args.max_inflight < 1 or args.queue_depth < 0:
+            error = "--max-inflight must be >= 1 and --queue-depth must be >= 0"
+        elif args.recorder_capacity < 0 or args.slow_request_s <= 0:
+            error = "--recorder-capacity must be >= 0 and --slow-request-s must be positive"
+    elif args.action == "tail" and args.count < 0:
+        error = "--count must be non-negative"
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     try:
         socket_path = args.socket or default_socket_path()
@@ -931,17 +870,13 @@ def _dispatch(argv: list[str] | None) -> int:
     if argv[:1] == ["fleet"]:
         return _fleet_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be a positive worker count", file=sys.stderr)
-        return 2
-    if args.shard_size is not None and args.shard_size <= 0:
-        print("--shard-size must be positive", file=sys.stderr)
-        return 2
-    if args.cache_max_mb is not None and args.cache_max_mb < 0:
-        print("--cache-max-mb must be non-negative", file=sys.stderr)
-        return 2
-    if args.as_json and args.stream:
-        print("--json and --stream are mutually exclusive", file=sys.stderr)
+    error = _common_error(args)
+    if error is None and args.cache_max_mb is not None and args.cache_max_mb < 0:
+        error = "--cache-max-mb must be non-negative"
+    if error is None and args.as_json and args.stream:
+        error = "--json and --stream are mutually exclusive"
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
 
     if args.list_experiments:
@@ -956,86 +891,65 @@ def _dispatch(argv: list[str] | None) -> int:
         print(f"known experiments: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
 
-    # A live daemon owns its own cache (memory index over its disk store), so
-    # only route through it when this invocation does not pin or manage a
-    # local cache (--cache-dir/--no-cache/--cache-max-mb stay inline).
-    # --trace also stays inline: spans must cover this process and its pool.
-    exit_code: int | None = None
-    if (
-        not args.no_daemon
-        and not args.no_cache
-        and args.cache_dir is None
-        and args.cache_max_mb is None
-        and args.trace is None
-    ):
-        try:
-            exit_code = _run_via_daemon(args, selected)
-        except DaemonError as error:
-            # e.g. a tampered default socket directory: never trust it, but
-            # the run itself can still proceed inline.
-            print(f"daemon unavailable ({error}); running inline", file=sys.stderr)
-    if exit_code is not None:
-        return exit_code
-
-    trace_writer: telemetry.TraceWriter | None = None
-    was_collecting = telemetry.collection_enabled()
-    if args.trace is not None:
-        telemetry.enable_collection()
-        trace_writer = telemetry.TraceWriter(args.trace)
-        telemetry.enable_tracing(trace_writer)
-    try:
-        cache = None
-        if not args.no_cache:
-            try:
-                cache = ResultCache(args.cache_dir or default_cache_dir())
-            except OSError as error:
-                print(f"unusable cache directory: {error}", file=sys.stderr)
-                return 2
-
-        jobs = [ExperimentJob(experiment_id, quick=not args.full) for experiment_id in selected]
-        roots = {id(job) for job in jobs}
-        renderer = _EventRenderer(selected, as_json=args.as_json, stream=args.stream)
+    jobs = [ExperimentJob(experiment_id, quick=not args.full) for experiment_id in selected]
+    with _telemetry_scope(args.trace, collect=False):
         with telemetry.span("cli.run", kind="cli", experiments=list(selected)):
-            for event in iter_sharded(
+            routed = _route(
+                args,
                 jobs,
-                shard_size=args.shard_size,
-                workers=args.jobs,
-                cache=cache,
-            ):
-                include_value = (
-                    event.terminal
-                    and id(event.job) in roots
-                    and event.outcome is not None
-                    and event.outcome.ok
-                )
-                renderer.feed(event.to_dict(include_value=include_value))
-        code = renderer.finish()
-        if code:
-            return code
-
-        if cache is not None:
-            print(f"cache: {cache.stats.summary()}", file=sys.stderr)
-        if args.cache_max_mb is not None:
-            # The store is trimmed even under --no-cache: that flag only bypasses
-            # lookups for this run, while the size budget is about the directory.
-            try:
-                store = cache or ResultCache(args.cache_dir or default_cache_dir())
-            except OSError as error:
-                print(f"unusable cache directory: {error}", file=sys.stderr)
-                return 2
-            removed, freed = store.prune(int(args.cache_max_mb * 1_000_000))
-            print(
-                f"cache: pruned {removed} entrie(s) ({freed / 1e6:.2f} MB) to fit "
-                f"{args.cache_max_mb:g} MB",
-                file=sys.stderr,
+                lambda: _EventRenderer(selected, as_json=args.as_json, stream=args.stream),
             )
-        return 0
-    finally:
-        if trace_writer is not None:
-            telemetry.disable_tracing()
-            trace_writer.close()
-            if not was_collecting:
-                telemetry.disable_collection()
+            if routed is not None:
+                return routed[0]
+            return _run_inline(args, jobs, selected)
+
+
+def _run_inline(args: argparse.Namespace, jobs: list[ExperimentJob], selected: list[str]) -> int:
+    """Run the experiments in this process (and its own pool for ``--jobs``)."""
+    cache = None
+    if not args.no_cache:
+        try:
+            cache = ResultCache(args.cache_dir or default_cache_dir())
+        except OSError as error:
+            print(f"unusable cache directory: {error}", file=sys.stderr)
+            return 2
+
+    roots = {id(job) for job in jobs}
+    renderer = _EventRenderer(selected, as_json=args.as_json, stream=args.stream)
+    for event in iter_sharded(
+        jobs,
+        shard_size=args.shard_size,
+        workers=args.jobs,
+        cache=cache,
+    ):
+        include_value = (
+            event.terminal
+            and id(event.job) in roots
+            and event.outcome is not None
+            and event.outcome.ok
+        )
+        renderer.feed(event.to_dict(include_value=include_value))
+    code = renderer.finish()
+    if code:
+        return code
+
+    if cache is not None:
+        print(f"cache: {cache.stats.summary()}", file=sys.stderr)
+    if args.cache_max_mb is not None:
+        # The store is trimmed even under --no-cache: that flag only bypasses
+        # lookups for this run, while the size budget is about the directory.
+        try:
+            store = cache or ResultCache(args.cache_dir or default_cache_dir())
+        except OSError as error:
+            print(f"unusable cache directory: {error}", file=sys.stderr)
+            return 2
+        removed, freed = store.prune(int(args.cache_max_mb * 1_000_000))
+        print(
+            f"cache: pruned {removed} entrie(s) ({freed / 1e6:.2f} MB) to fit "
+            f"{args.cache_max_mb:g} MB",
+            file=sys.stderr,
+        )
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import socket
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.engine import (
     ExperimentJob,
     FaultInjector,
     FaultPlan,
+    FleetTrafficJob,
     MemoryIndexCache,
     ResultCache,
     default_socket_path,
@@ -261,6 +263,24 @@ class TestDaemonServer:
         assert captured.out == inline_out
         assert "from memory index" in captured.err
 
+    def test_traced_cli_call_still_routes(self, daemon, tmp_path, capsys, monkeypatch):
+        inline_dir = tmp_path / "inline-cache"
+        assert main(["table2", "--json", "--no-daemon", "--cache-dir", str(inline_dir)]) == 0
+        inline_out = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_DAEMON_SOCKET", str(daemon.socket_path))
+        trace = tmp_path / "client.trace"
+        assert main(["table2", "--json", "--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert "daemon: routing via" in captured.err
+        assert captured.out == inline_out
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        root = next(r for r in records if r["name"] == "cli.run")
+        # This daemon runs in-process, so its spans land in the same file:
+        # the request span hangs under the CLI call's root span.
+        request = next(r for r in records if r["name"] == "daemon.request")
+        assert request["parent"] == root["span"]
+        assert request["labels"]["op"] == "experiment"
+
     def test_cli_stream_through_daemon(self, daemon, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_DAEMON_SOCKET", str(daemon.socket_path))
         assert main(["table1", "--stream"]) == 0
@@ -405,14 +425,55 @@ class TestDaemonTelemetry:
         assert job.decode(payload) == job.run()
 
     def test_fleet_op_rejects_bad_config(self, daemon):
-        frames = list(daemon.fleet({"no_such_field": 1}))
-        assert frames[-1]["type"] == "error"
-        assert "bad fleet job config" in frames[-1]["message"]
+        response = daemon.request(
+            {"op": "run", "jobs": [{"kind": "fleet-traffic", "config": {"no_such_field": 1}}]}
+        )
+        assert response["type"] == "error"
+        assert "bad fleet-traffic job config" in response["message"]
 
     def test_fleet_op_requires_a_config_object(self, daemon):
-        response = daemon.request({"op": "fleet", "job": 5})
+        response = daemon.request(
+            {"op": "run", "jobs": [{"kind": "fleet-traffic", "config": 5}]}
+        )
         assert response["type"] == "error"
         assert "job config" in response["message"]
+
+    def test_one_run_request_mixes_job_kinds(self, daemon):
+        frames = list(
+            daemon.run([ExperimentJob("table1"), FleetTrafficJob(**FLEET_CONFIG)])
+        )
+        assert frames[-1]["type"] == "done"
+        assert telemetry.Histogram.from_dict(frames[-1]["latency"]).count == 16
+        values = {
+            frame["event"]["kind"]
+            for frame in frames
+            if frame["type"] == "event" and "value" in frame["event"]
+        }
+        assert values == {"experiment", "fleet-traffic"}
+        assert daemon.dump()["records"][-1]["op"] == "experiment,fleet-traffic"
+
+    @pytest.mark.parametrize(
+        "jobs, message",
+        [
+            ([], "non-empty jobs list"),
+            (None, "non-empty jobs list"),
+            ([{"kind": "montecarlo-point", "config": {}}], "unknown job kind"),
+            (["table1"], "unknown job kind"),
+            ([{"kind": "experiment", "config": {"experiment_id": "nope"}}],
+             "unknown experiment"),
+            ([{"kind": "experiment", "config": {}}], "bad experiment job config"),
+        ],
+    )
+    def test_run_op_refuses_malformed_jobs(self, daemon, jobs, message):
+        response = daemon.request({"op": "run", "jobs": jobs})
+        assert response["type"] == "error"
+        assert message in response["message"]
+
+    @pytest.mark.parametrize("op", ["submit", "fleet"])
+    def test_retired_work_ops_are_unknown(self, daemon, op):
+        response = daemon.request({"op": op, "experiments": ["table1"]})
+        assert response["type"] == "error"
+        assert f"unknown op {op!r}" in response["message"]
 
     def test_fleet_op_with_stale_code_version_is_refused(self, daemon):
         frames = list(daemon.fleet(FLEET_CONFIG, code_version="not-the-daemon's"))
@@ -683,8 +744,8 @@ class TestAdmissionControl:
                 stream,
                 {
                     "v": PROTOCOL_VERSION,
-                    "op": "fleet",
-                    "job": dict(HOLD_FLEET),
+                    "op": "run",
+                    "jobs": [{"kind": "fleet-traffic", "config": dict(HOLD_FLEET)}],
                     "shard_size": 2,
                 },
             )
@@ -865,11 +926,41 @@ class TestStopDaemonEscalation:
             assert stop_daemon(socket_path, wait_s=5.0, force=True) == "forced"
             assert not socket_path.exists()
             assert not _pid_file(socket_path).exists()
+            # The daemon leads its own process group; its forked pool worker
+            # must die with it rather than linger as an orphan.
+            deadline = time.time() + 10.0
+            while _live_group_members(pid):
+                assert time.time() < deadline, (
+                    f"processes of the daemon's group survived: "
+                    f"{_live_group_members(pid)}"
+                )
+                time.sleep(0.02)
         finally:
             try:
-                os.kill(pid, signal.SIGKILL)
+                os.killpg(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids of non-zombie processes in process group ``pgid``."""
+    proc = Path("/proc")
+    if not proc.is_dir():  # no procfs: ask the kernel whether the group exists
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for stat in proc.glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid pgrp ..."; comm may contain spaces.
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(stat.parent.name))
+    return members
 
 
 class TestCLIBusyRetry:
@@ -912,7 +1003,7 @@ class TestFlightRecorderOps:
         assert dump["capacity"] == 256
         assert dump["dropped"] == 0
         (record,) = dump["records"]
-        assert record["op"] == "submit"
+        assert record["op"] == "experiment"
         assert record["outcome"] == "done"
         assert record["request_id"] == frames[0]["request_id"]
         assert record["trace_id"] == frames[0]["trace_id"]
@@ -986,7 +1077,7 @@ class TestFlightRecorderOps:
         list(daemon.submit(["table1"]))
         follow = daemon.tail_follow(count=5)
         first = next(follow)
-        assert first["op"] == "submit" and first["seq"] == 1
+        assert first["op"] == "experiment" and first["seq"] == 1
 
         def run_more():
             list(daemon.submit(["table2"]))
@@ -1026,7 +1117,7 @@ class TestFlightRecorderOps:
         assert main(["daemon", "dump"]) == 0
         captured = capsys.readouterr()
         records = [json.loads(line) for line in captured.out.splitlines()]
-        assert records and records[-1]["op"] == "submit"
+        assert records and records[-1]["op"] == "experiment"
         assert "dump: 1 record(s)" in captured.err
         assert main(["daemon", "tail", "-n", "1"]) == 0
         tail_out = capsys.readouterr().out
@@ -1147,7 +1238,7 @@ class TestEndToEndTraceTree:
             dump_out = capsys.readouterr().out
             records = [json.loads(line) for line in dump_out.splitlines()]
             (record,) = [r for r in records if r["trace_id"] == trace_id]
-            assert record["op"] == "fleet"
+            assert record["op"] == "fleet-traffic"
             assert record["outcome"] == "done"
             assert record["jobs"] >= 1
         finally:

@@ -16,6 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.engine import (
     JobOutcome,
     MonteCarloPointJob,
     PoolSupervisor,
+    RangeJob,
     RangeShard,
     ResultCache,
     iter_jobs,
@@ -91,6 +93,78 @@ class SlowFailJob(Job):
 
     def run(self) -> None:
         time.sleep(self.sleep_s)
+        raise RuntimeError(f"{self.name} exploded")
+
+
+def _wait_for(path: Path, timeout_s: float = 60.0) -> None:
+    """Block until ``path`` exists (a cross-process gate a test opens)."""
+    deadline = time.monotonic() + timeout_s
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"gate {path} never opened")
+        time.sleep(0.005)
+
+
+@dataclass(frozen=True)
+class GatedRangeJob(RangeJob):
+    """Range job whose shards past the first are held at a gate.
+
+    The first shard marks ``<gate_dir>/first-started`` as it begins; every
+    later shard waits for ``<gate_dir>/open`` before returning its count.
+    """
+
+    gate_dir: str
+    units: int
+
+    kind = "gated-range"
+    shard_kind = "gated-range-shard"
+    total_field = "units"
+
+    @property
+    def job_id(self) -> str:
+        return f"gated[{self.units}]"
+
+    @property
+    def config(self) -> dict:
+        return {"gate_dir": self.gate_dir, "units": self.units}
+
+    def run_range(self, start: int, stop: int) -> int:
+        gate = Path(self.gate_dir)
+        if start == 0:
+            (gate / "first-started").touch()
+        else:
+            _wait_for(gate / "open")
+        return stop - start
+
+    def merge(self, values: list) -> int:
+        return sum(values)
+
+    def encode(self, result: int) -> dict:
+        return {"units": result}
+
+    def decode(self, payload: dict) -> int:
+        return payload["units"]
+
+
+@dataclass(frozen=True)
+class GatedFailJob(Job):
+    """Picklable job that raises once ``<gate_dir>/first-started`` exists."""
+
+    gate_dir: str
+    name: str = "bang"
+
+    kind = "gated-fail"
+
+    @property
+    def job_id(self) -> str:
+        return self.name
+
+    @property
+    def config(self) -> dict:
+        return {"gate_dir": self.gate_dir, "name": self.name}
+
+    def run(self) -> None:
+        _wait_for(Path(self.gate_dir) / "first-started")
         raise RuntimeError(f"{self.name} exploded")
 
 
@@ -308,23 +382,31 @@ class TestFailFastPoolDrain:
         assert ResultCache(tmp_path).get(in_flight) == "inflight"
 
     def test_sharded_drain_caches_shards_but_never_merges_parent(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        fail = SlowFailJob(sleep_s=0.02)
-        # Enough shards that the queued tail is guaranteed to be cancelled
-        # long before it could complete the parent.
-        point = MonteCarloPointJob(4.0, 30.0, samples=64 * MC_SAMPLE_BLOCK)
-        with pytest.raises(EngineError):
-            run_sharded(
-                [fail, point], shard_size=MC_SAMPLE_BLOCK, workers=2, cache=cache
-            )
-        fresh = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache")
+        gate = tmp_path / "gate"
+        gate.mkdir()
+        # Explicit gates fix the interleaving: the failure lands only once
+        # the first shard runs, and every later shard is held until this
+        # consumer has seen the failure -- fail-fast cancels the queued tail
+        # on the very next step, so the parent can never collect all 64.
+        fail = GatedFailJob(str(gate))
+        parent = GatedRangeJob(str(gate), units=64)
+        events = []
+        for event in iter_sharded(
+            [fail, parent], shard_size=1, workers=2, cache=cache
+        ):
+            events.append(event)
+            if event.type == FAILED:
+                (gate / "open").touch()
+        assert [e.job.job_id for e in events if e.type == FAILED] == ["bang"]
+        fresh = ResultCache(tmp_path / "cache")
         # The first shard was in flight alongside the failure: it drained
         # into the cache...
-        first_shard = RangeShard(MonteCarloPointJob(4.0, 30.0), 0, MC_SAMPLE_BLOCK)
-        assert fresh.get(first_shard) is not None
+        assert fresh.get(RangeShard(parent, 0, 1)) == 1
         # ... but the parent never saw all its shards, so no orphan merged
         # outcome was fabricated or cached.
-        assert ResultCache(tmp_path).get(point) is None
+        assert not any(e.terminal and e.job is parent for e in events)
+        assert ResultCache(tmp_path / "cache").get(parent) is None
 
 
 class TestIterSharded:
