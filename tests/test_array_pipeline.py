@@ -458,7 +458,9 @@ class TestGoldenExperimentJSON:
     """Array-native + batched execution is byte-identical to the scalar-era
     JSON captured from the pre-refactor implementation.  The second row of
     ids pins the fast experiments (fleet, substrate and circuit tables) to
-    JSON captured before the duplicate fleet/PUF code paths were removed."""
+    JSON captured before the duplicate fleet/PUF code paths were removed;
+    the third pins the rest to JSON captured before the registry became a
+    lazy import table, so every registered experiment is covered."""
 
     @pytest.mark.parametrize(
         "experiment_id",
@@ -466,6 +468,7 @@ class TestGoldenExperimentJSON:
             "fig5", "fig6", "aging", "table11",
             "fleet-roc", "fleet-aging", "table1", "table2", "waveforms",
             "table4", "fig7", "fig7-energy", "table6",
+            "fig8", "fig9", "table10",
         ],
     )
     def test_quick_json_matches_golden(self, experiment_id):
