@@ -36,18 +36,7 @@ Quickstart
 True
 """
 
-from repro.core import (
-    CODICCommand,
-    CODICSubstrate,
-    CODICVariant,
-    SignalSchedule,
-    VariantFunction,
-    VariantLibrary,
-    standard_variants,
-)
-from repro.circuit import CellCircuitSimulator, MonteCarloEngine
-from repro.dram import DRAMChip, DRAMModule, paper_population
-from repro.power import CommandEnergyModel
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -67,3 +56,20 @@ __all__ = [
     "CommandEnergyModel",
     "__version__",
 ]
+
+#: Re-exported name -> defining subpackage, imported on first attribute
+#: access, so ``import repro`` (and the CLI's routing path) stays free of
+#: numpy and the simulator stack.
+__getattr__ = lazy_exports(globals(), {
+    **dict.fromkeys(
+        ("CODICCommand", "CODICSubstrate", "CODICVariant", "SignalSchedule",
+         "VariantFunction", "VariantLibrary", "standard_variants"),
+        "repro.core",
+    ),
+    "CellCircuitSimulator": "repro.circuit",
+    "MonteCarloEngine": "repro.circuit",
+    "DRAMChip": "repro.dram",
+    "DRAMModule": "repro.dram",
+    "paper_population": "repro.dram",
+    "CommandEnergyModel": "repro.power",
+})

@@ -1062,11 +1062,16 @@ class ExperimentDaemon:
         self._server.daemon = self  # type: ignore[attr-defined]
         pid_path = _pid_file(self.socket_path)
         pid_path.write_text(f"{os.getpid()}\n")
-        # Fork the workers and import the experiment drivers now, so even the
-        # first request is served warm (the source fingerprint was already
-        # hashed when the cache was constructed).
+        # Import every experiment driver and the fleet traffic runtime, then
+        # fork the workers, so even the first request is served warm: the
+        # pool -- and any pool rebuilt after a crash -- inherits the loaded
+        # modules (the source fingerprint was already hashed when the cache
+        # was constructed).
+        import repro.fleet.traffic  # noqa: F401
+        from repro.experiments.registry import EXPERIMENTS
+
+        list(EXPERIMENTS.values())  # each lookup imports that driver's module
         self.supervisor.warm()
-        from repro.experiments import registry  # noqa: F401 - pre-import drivers
 
         try:
             self._server.serve_forever(poll_interval=0.1)

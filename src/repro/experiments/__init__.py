@@ -8,10 +8,16 @@ that the full set of experiments finishes in minutes on a laptop;
 
 The registry maps experiment identifiers (e.g. ``"table2"``, ``"fig7"``) to
 their drivers so that the benchmark harness and the command-line report
-generator can enumerate them.
+generator can enumerate them; a driver module is imported only when its
+experiment is first looked up.
 """
 
-from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, run_experiment, run_all
+from repro._lazy import lazy_exports
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment", "run_all"]
+
+#: Re-exported name -> defining module, imported on first attribute access.
+__getattr__ = lazy_exports(globals(), {
+    "ExperimentResult": "repro.experiments.base",
+    **dict.fromkeys(("EXPERIMENTS", "run_experiment", "run_all"), "repro.experiments.registry"),
+})

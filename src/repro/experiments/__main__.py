@@ -24,6 +24,8 @@ Usage::
                                                  # ad-hoc fleet authentication run
     python -m repro.experiments --list           # list experiment identifiers
 
+An installed package also provides the same CLI as the ``repro`` command.
+
 Execution goes through :mod:`repro.engine` as an *event stream*: experiments
 run serially or on a process pool (``--jobs``), ``--shard-size``
 additionally splits the shardable experiments (Table 11, Figures 5/6,
@@ -42,6 +44,14 @@ disk reads.  A refused or shed request runs inline instead as long as
 nothing reached stdout yet (:func:`_route` holds the one rule table; the
 README states it) -- output is byte-identical either way, and ``--trace``
 joins the daemon's spans under this call's root span.
+
+Startup stays thin so a routed call reaches the socket fast: importing this
+module loads the engine, telemetry and the registry's static id table, but
+no experiment driver, numpy or scipy (``fleet`` still imports
+:mod:`repro.fleet` to validate its configuration before routing).  A
+driver's module is imported on its first lookup -- in an inline run, or by
+the daemon, which loads every driver before it forks its pool (README.md,
+"Startup").
 
 Results are served from a content-addressed on-disk cache (``--cache-dir``,
 default ``$REPRO_CACHE_DIR`` or ``./.repro-cache``) keyed by experiment

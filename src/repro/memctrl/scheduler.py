@@ -4,7 +4,8 @@ The paper's Ramulator configuration uses FR-FCFS (first-ready,
 first-come-first-served): among queued requests, those that hit the currently
 open row of their bank are served first (oldest first), and only when no
 request is row-hit is the oldest request served.  An FCFS policy is provided
-for the scheduling-policy ablation called out in DESIGN.md.
+for a scheduling-policy ablation of the memory controller that README.md
+lists under ``src/repro/memctrl``.
 """
 
 from __future__ import annotations

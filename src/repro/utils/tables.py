@@ -3,7 +3,8 @@
 Every experiment in :mod:`repro.experiments` reports its results as rows of a
 table mirroring the corresponding table/figure in the paper.  This module
 provides a single helper that renders those rows with aligned columns so that
-reports are readable both in test output and in EXPERIMENTS.md.
+reports are readable both in test output and on the experiment CLI's stdout
+(see README.md, "Reproducing the paper").
 """
 
 from __future__ import annotations

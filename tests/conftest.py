@@ -7,9 +7,15 @@ are produced by the benchmark harness.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.substrate import CODICSubstrate
 from repro.dram.chip import DRAMChip, VENDOR_PROFILES
 from repro.dram.geometry import DRAMGeometry
@@ -80,3 +86,20 @@ def small_population() -> ChipPopulation:
 def rng() -> np.random.Generator:
     """A seeded NumPy generator for test-local randomness."""
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a script in a new interpreter that imports this checkout's
+    ``repro``; the script prints one JSON document, which is returned."""
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run(script: str, *args: str):
+        done = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    return run

@@ -154,6 +154,36 @@ class TestMemoryIndexCache:
             MemoryIndexCache(ResultCache(tmp_path), max_entries=0)
 
 
+#: Starts an in-process daemon in a fresh interpreter and runs a module-level
+#: probe on its supervisor's pool before any experiment job.
+PREFORK_PROBE_SCRIPT = """
+import json, sys, threading, time
+from repro.engine import DaemonClient, ExperimentDaemon
+
+MODULES = ("repro.experiments.puf_experiments", "repro.fleet.traffic")
+
+def probe():
+    return {name: name in sys.modules for name in MODULES}
+
+socket_path, cache_dir = sys.argv[1:]
+before = probe()
+server = ExperimentDaemon(socket_path, cache_dir=cache_dir, workers=1)
+thread = threading.Thread(target=server.serve_forever, daemon=True)
+thread.start()
+client = DaemonClient(socket_path)
+deadline = time.time() + 60.0
+while not client.is_running():
+    assert time.time() < deadline, "daemon did not come up"
+    time.sleep(0.02)
+try:
+    worker = server.supervisor.submit(probe).result(timeout=60.0)
+finally:
+    client.shutdown()
+    thread.join(timeout=10.0)
+print(json.dumps({"client": before, "worker": worker}))
+"""
+
+
 @pytest.fixture
 def daemon(tmp_path):
     """A live in-process daemon on a private socket; yields its client."""
@@ -322,6 +352,21 @@ class TestDaemonServer:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert not socket_path.exists()
+
+    def test_pool_workers_inherit_drivers_loaded_before_the_fork(
+        self, tmp_path, fresh_python
+    ):
+        # A fresh interpreter has no driver imported yet, so the workers can
+        # only hold one if the daemon loaded it before forking its pool.
+        probed = fresh_python(
+            PREFORK_PROBE_SCRIPT, str(tmp_path / "p.sock"), str(tmp_path / "cache")
+        )
+        assert probed == {
+            "client": {"repro.experiments.puf_experiments": False,
+                       "repro.fleet.traffic": False},
+            "worker": {"repro.experiments.puf_experiments": True,
+                       "repro.fleet.traffic": True},
+        }
 
 
 #: Small fleet traffic configuration reused by the fleet-op tests.

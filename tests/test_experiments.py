@@ -4,22 +4,69 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+import repro.experiments
+import repro.utils
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.base import ExperimentResult
+
+#: Every registered experiment, in registry (report) order.
+REGISTRY_ORDER = [
+    "table1", "table2", "waveforms", "fig5", "fig6", "aging",
+    "table4", "table10", "fig7", "fig7-energy", "table6", "table11",
+    "fig8", "fig9", "fleet-roc", "fleet-aging",
+]
+
+#: The experiment driver modules, which pull in numpy, scipy and the simulator.
+DRIVER_MODULES = [
+    f"repro.experiments.{name}"
+    for name in ("substrate_tables", "puf_experiments", "coldboot_experiments",
+                 "dealloc_experiments", "fleet_experiments")
+]
 
 
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):
-        expected = {
-            "table1", "table2", "waveforms", "fig5", "fig6", "aging",
-            "table4", "table10", "fig7", "fig7-energy", "table6", "table11",
-            "fig8", "fig9", "fleet-roc", "fleet-aging",
-        }
-        assert set(EXPERIMENTS) == expected
+        assert list(EXPERIMENTS) == REGISTRY_ORDER
+        assert all(callable(EXPERIMENTS[eid]) for eid in EXPERIMENTS)
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+        with pytest.raises(KeyError):
+            EXPERIMENTS["fig99"]
+        assert "fig99" not in EXPERIMENTS
+
+    def test_registry_answers_ids_and_membership_without_importing_drivers(
+        self, fresh_python
+    ):
+        loaded = fresh_python(
+            "import json, sys\n"
+            "from repro.experiments.registry import EXPERIMENTS\n"
+            "ids, members = list(EXPERIMENTS), ['fig99' in EXPERIMENTS, 'table2' in EXPERIMENTS]\n"
+            "print(json.dumps({'ids': ids, 'members': members, 'modules': sorted(sys.modules)}))\n"
+        )
+        assert loaded["ids"] == REGISTRY_ORDER
+        assert loaded["members"] == [False, True]
+        assert not set(DRIVER_MODULES) & set(loaded["modules"])
+
+    def test_cli_import_loads_no_numpy_scipy_or_driver(self, fresh_python):
+        modules = set(fresh_python(
+            "import json, sys\n"
+            "import repro.experiments.__main__\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        ))
+        heavy = {name for name in modules if name.split(".")[0] in ("numpy", "scipy")}
+        assert not heavy
+        assert not set(DRIVER_MODULES) & modules
+
+    @pytest.mark.parametrize("package", [repro, repro.experiments, repro.utils],
+                             ids=lambda package: package.__name__)
+    def test_every_reexport_resolves(self, package):
+        for name in package.__all__:
+            assert getattr(package, name) is not None
+        with pytest.raises(AttributeError):
+            getattr(package, "no_such_export")
 
 
 class TestResultContainer:
