@@ -50,45 +50,46 @@ class AddressMapper:
             raise ValueError(
                 "row size must be a multiple of the column access size"
             )
+        # The mixed radices of the address layout, fixed once the mapper is
+        # built (``decode`` runs for every memory request).
+        object.__setattr__(
+            self, "_columns_per_row", self.geometry.row_bytes // self.column_bytes
+        )
+        object.__setattr__(self, "_banks", self.geometry.banks)
+        object.__setattr__(self, "_ranks", self.geometry.ranks)
+        object.__setattr__(self, "_rows_per_bank", self.geometry.chip.rows_per_bank)
+        object.__setattr__(
+            self, "_capacity_bytes", self.geometry.capacity_bytes * self.channels
+        )
 
     @property
     def columns_per_row(self) -> int:
         """Number of column accesses (cache lines) per module row."""
-        return self.geometry.row_bytes // self.column_bytes
+        return self._columns_per_row
 
     @property
     def capacity_bytes(self) -> int:
         """Total capacity across all channels."""
-        return self.geometry.capacity_bytes * self.channels
+        return self._capacity_bytes
 
     def decode(self, physical_address: int) -> DecodedAddress:
         """Decode a physical byte address into DRAM coordinates."""
-        if not 0 <= physical_address < self.capacity_bytes:
+        if not 0 <= physical_address < self._capacity_bytes:
             raise ValueError(
                 f"address {physical_address:#x} outside module capacity "
-                f"{self.capacity_bytes:#x}"
+                f"{self._capacity_bytes:#x}"
             )
-        offset = physical_address % self.column_bytes
-        line = physical_address // self.column_bytes
-
-        column, line = line % self.columns_per_row, line // self.columns_per_row
-        bank, line = line % self.geometry.banks, line // self.geometry.banks
-        rank, line = line % self.geometry.ranks, line // self.geometry.ranks
-        channel, line = line % self.channels, line // self.channels
-        row = line
-        if row >= self.geometry.chip.rows_per_bank:
+        line, offset = divmod(physical_address, self.column_bytes)
+        line, column = divmod(line, self._columns_per_row)
+        line, bank = divmod(line, self._banks)
+        line, rank = divmod(line, self._ranks)
+        row, channel = divmod(line, self.channels)
+        if row >= self._rows_per_bank:
             raise ValueError(
                 f"address {physical_address:#x} maps to row {row}, beyond "
-                f"{self.geometry.chip.rows_per_bank} rows per bank"
+                f"{self._rows_per_bank} rows per bank"
             )
-        return DecodedAddress(
-            channel=channel,
-            rank=rank,
-            bank=bank,
-            row=row,
-            column=column,
-            byte_offset=offset,
-        )
+        return DecodedAddress(channel, rank, bank, row, column, offset)
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Encode DRAM coordinates back into a physical byte address."""

@@ -2,9 +2,12 @@
 
 A :class:`Bank` tracks which row (if any) is open and the earliest time each
 command type may legally be issued, given the timing parameters.  The memory
-controller asks ``earliest_issue_time`` before scheduling a command and calls
-``issue`` once it commits to it; both the cycle-level simulator and the
-analytic throughput models build on these rules.
+controller asks ``earliest_issue_time`` (through its
+:class:`~repro.dram.rank.Rank`) before scheduling a command and issues it once
+it commits to it: ``issue`` checks the time and then ``apply`` updates the
+state, and ``Rank.issue`` checks bank and rank constraints together before
+calling ``apply``.  Both the cycle-level simulator and the analytic
+throughput models build on these rules.
 """
 
 from __future__ import annotations
@@ -14,6 +17,21 @@ from dataclasses import dataclass, field
 
 from repro.dram.commands import CommandType
 from repro.dram.timing import TimingParameters
+
+
+# Command types as module globals: every command passes these identity
+# tests, and a global is cheaper to load than an attribute of the Enum class.
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
+_PRECHARGE_ALL = CommandType.PRECHARGE_ALL
+_READ = CommandType.READ
+_READ_AP = CommandType.READ_AP
+_WRITE = CommandType.WRITE
+_WRITE_AP = CommandType.WRITE_AP
+_REFRESH = CommandType.REFRESH
+_CODIC = CommandType.CODIC
+_ROWCLONE_COPY = CommandType.ROWCLONE_COPY
+_LISA_COPY = CommandType.LISA_COPY
 
 
 class BankState(enum.Enum):
@@ -50,30 +68,35 @@ class Bank:
         return self.state is BankState.ACTIVE and self.open_row == row
 
     def earliest_issue_time(self, command: CommandType, now_ns: float) -> float:
-        """Earliest legal issue time for ``command``, not before ``now_ns``."""
-        if command is CommandType.ACTIVATE or command in (
-            CommandType.CODIC,
-            CommandType.ROWCLONE_COPY,
-            CommandType.LISA_COPY,
-        ):
-            if self.state is BankState.ACTIVE and command is CommandType.ACTIVATE:
-                raise ValueError("cannot activate: a row is already open")
-            return max(now_ns, self.next_activate_ns)
-        if command in (CommandType.PRECHARGE, CommandType.PRECHARGE_ALL):
-            return max(now_ns, self.next_precharge_ns)
-        if command in (CommandType.READ, CommandType.READ_AP):
-            self._require_open_row(command)
-            return max(now_ns, self.next_read_ns)
-        if command in (CommandType.WRITE, CommandType.WRITE_AP):
-            self._require_open_row(command)
-            return max(now_ns, self.next_write_ns)
-        if command is CommandType.REFRESH:
-            return max(now_ns, self.next_activate_ns)
-        raise ValueError(f"bank cannot time command {command!r}")
+        """Earliest legal issue time for ``command``, not before ``now_ns``.
 
-    def _require_open_row(self, command: CommandType) -> None:
-        if self.state is not BankState.ACTIVE:
-            raise ValueError(f"cannot issue {command.value}: no row is open")
+        Each command family reads one next-legal-time attribute; the chain of
+        identity tests is ordered by how often the controller issues them.
+        """
+        if command is _READ or command is _READ_AP:
+            if self.state is not BankState.ACTIVE:
+                raise ValueError(f"cannot issue {command.value}: no row is open")
+            earliest = self.next_read_ns
+        elif command is _WRITE or command is _WRITE_AP:
+            if self.state is not BankState.ACTIVE:
+                raise ValueError(f"cannot issue {command.value}: no row is open")
+            earliest = self.next_write_ns
+        elif command is _ACTIVATE:
+            if self.state is BankState.ACTIVE:
+                raise ValueError("cannot activate: a row is already open")
+            earliest = self.next_activate_ns
+        elif command is _PRECHARGE or command is _PRECHARGE_ALL:
+            earliest = self.next_precharge_ns
+        elif (
+            command is _CODIC
+            or command is _ROWCLONE_COPY
+            or command is _LISA_COPY
+            or command is _REFRESH
+        ):
+            earliest = self.next_activate_ns
+        else:
+            raise ValueError(f"bank cannot time command {command!r}")
+        return earliest if earliest > now_ns else now_ns
 
     # ------------------------------------------------------------------
     # Issue
@@ -91,26 +114,39 @@ class Bank:
                 f"{command.value} issued at {issue_ns:.2f} ns violates timing "
                 f"(earliest legal time is {earliest:.2f} ns)"
             )
-        t = self.timing
-        if command is CommandType.ACTIVATE:
+        return self.apply(command, issue_ns, row)
+
+    def apply(self, command: CommandType, issue_ns: float, row: int | None = None) -> float:
+        """Update the bank state for ``command`` issued at ``issue_ns``.
+
+        Performs no timing check: callers (:meth:`issue` and
+        :meth:`repro.dram.rank.Rank.issue`) have already compared
+        ``issue_ns`` against the earliest legal time.
+        """
+        if command is _READ:
+            return self._issue_read(issue_ns, auto_precharge=False)
+        if command is _WRITE:
+            return self._issue_write(issue_ns, auto_precharge=False)
+        if command is _ACTIVATE:
             return self._issue_activate(issue_ns, row)
-        if command is CommandType.CODIC:
+        if command is _PRECHARGE or command is _PRECHARGE_ALL:
+            return self._issue_precharge(issue_ns)
+        t = self.timing
+        if command is _CODIC:
             return self._issue_row_granular(issue_ns, occupancy_ns=t.tRAS_ns)
-        if command is CommandType.ROWCLONE_COPY:
+        if command is _ROWCLONE_COPY:
             # RowClone-FPM: ACT(src) -> ACT(dst) -> PRE, roughly two row cycles
             # minus the overlapped precharge (Seshadri et al., MICRO'13).
             return self._issue_row_granular(issue_ns, occupancy_ns=2 * t.tRAS_ns)
-        if command is CommandType.LISA_COPY:
+        if command is _LISA_COPY:
             # LISA: row-buffer movement between adjacent subarrays; slightly
             # slower than RowClone-FPM across arbitrary subarrays.
             return self._issue_row_granular(issue_ns, occupancy_ns=2.5 * t.tRAS_ns)
-        if command in (CommandType.PRECHARGE, CommandType.PRECHARGE_ALL):
-            return self._issue_precharge(issue_ns)
-        if command in (CommandType.READ, CommandType.READ_AP):
-            return self._issue_read(issue_ns, auto_precharge=command is CommandType.READ_AP)
-        if command in (CommandType.WRITE, CommandType.WRITE_AP):
-            return self._issue_write(issue_ns, auto_precharge=command is CommandType.WRITE_AP)
-        if command is CommandType.REFRESH:
+        if command is _READ_AP:
+            return self._issue_read(issue_ns, auto_precharge=True)
+        if command is _WRITE_AP:
+            return self._issue_write(issue_ns, auto_precharge=True)
+        if command is _REFRESH:
             return self._issue_refresh(issue_ns)
         raise ValueError(f"bank cannot issue command {command!r}")
 

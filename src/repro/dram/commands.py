@@ -31,6 +31,11 @@ class CommandType(enum.Enum):
     #: LISA inter-subarray row copy (row buffer movement between subarrays).
     LISA_COPY = "LISA_COPY"
 
+    #: Members are singletons compared by identity; hashing them the same way
+    #: keeps ``dict``/``Counter`` keys (energy accounting) free of the
+    #: Python-level ``Enum.__hash__`` call.
+    __hash__ = object.__hash__
+
     @property
     def opens_row(self) -> bool:
         """Whether this command leaves a row open in the bank's row buffer."""

@@ -18,14 +18,15 @@ from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
 from repro.dram.timing import TimingParameters
 
-#: Commands subject to the rank-level activation constraints.
-ACTIVATION_CLASS = {
+#: Commands subject to the rank-level activation constraints.  ``CommandType``
+#: hashes by identity, so membership is a C-level identity lookup.
+ACTIVATION_CLASS = frozenset({
     CommandType.ACTIVATE,
     CommandType.CODIC,
     CommandType.ROWCLONE_COPY,
     CommandType.LISA_COPY,
     CommandType.REFRESH,
-}
+})
 
 
 @dataclass
@@ -57,11 +58,14 @@ class Rank:
         """Earliest legal issue time considering bank and rank constraints."""
         earliest = self.banks[bank_index].earliest_issue_time(command, now_ns)
         if command in ACTIVATION_CLASS:
-            earliest = max(earliest, self._last_activation_ns + self.timing.tRRD_ns)
-            if len(self._recent_activations) == 4:
-                earliest = max(
-                    earliest, self._recent_activations[0] + self.timing.tFAW_ns
-                )
+            earliest = self._activation_window(earliest)
+        return earliest
+
+    def _activation_window(self, earliest: float) -> float:
+        """``earliest`` pushed past the tRRD spacing and the tFAW window."""
+        earliest = max(earliest, self._last_activation_ns + self.timing.tRRD_ns)
+        if len(self._recent_activations) == 4:
+            earliest = max(earliest, self._recent_activations[0] + self.timing.tFAW_ns)
         return earliest
 
     def issue(
@@ -71,15 +75,24 @@ class Rank:
         issue_ns: float,
         row: int | None = None,
     ) -> float:
-        """Issue a command on one bank, updating rank-level state."""
-        earliest = self.earliest_issue_time(command, bank_index, issue_ns)
+        """Issue a command on one bank, updating rank-level state.
+
+        The earliest legal time is computed once, from the bank's
+        next-legal-time and the rank's activation window; the bank update is
+        then applied without a second check.
+        """
+        bank = self.banks[bank_index]
+        earliest = bank.earliest_issue_time(command, issue_ns)
+        activation = command in ACTIVATION_CLASS
+        if activation:
+            earliest = self._activation_window(earliest)
         if issue_ns + 1e-9 < earliest:
             raise ValueError(
                 f"{command.value} at {issue_ns:.2f} ns violates rank timing "
                 f"(earliest legal time is {earliest:.2f} ns)"
             )
-        completion = self.banks[bank_index].issue(command, issue_ns, row=row)
-        if command in ACTIVATION_CLASS:
+        completion = bank.apply(command, issue_ns, row)
+        if activation:
             self._last_activation_ns = issue_ns
             self._recent_activations.append(issue_ns)
         return completion

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dram.address import AddressMapper
+from repro.dram.address import AddressMapper, DecodedAddress
+from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
 from repro.dram.geometry import ModuleGeometry
 from repro.dram.rank import Rank
@@ -27,6 +28,16 @@ from repro.memctrl.request import MemoryRequest, RequestType
 from repro.memctrl.scheduler import FRFCFSScheduler, Scheduler
 from repro.power.counters import EnergyAccountant
 from repro.power.model import CommandEnergyModel
+
+# Command types as module globals: every command passes these identity
+# tests, and a global is cheaper to load than an attribute of the Enum class.
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
+_READ = CommandType.READ
+_WRITE = CommandType.WRITE
+_CODIC = CommandType.CODIC
+_ROWCLONE_COPY = CommandType.ROWCLONE_COPY
+_LISA_COPY = CommandType.LISA_COPY
 
 
 @dataclass(frozen=True)
@@ -63,13 +74,6 @@ class ControllerStats:
 
 
 @dataclass
-class _BankTracker:
-    """Open-row bookkeeping for one bank (the rank handles timing)."""
-
-    open_row: int | None = None
-
-
-@dataclass
 class MemoryController:
     """One memory controller driving one or more channels of DRAM."""
 
@@ -87,7 +91,7 @@ class MemoryController:
     _read_queue: list[MemoryRequest] = field(default_factory=list)
     _write_queue: list[MemoryRequest] = field(default_factory=list)
     _ranks: dict[tuple[int, int], Rank] = field(default_factory=dict)
-    _banks: dict[tuple[int, int, int], _BankTracker] = field(default_factory=dict)
+    _banks: dict[tuple[int, int, int], Bank] = field(default_factory=dict)
     _bus_free_ns: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -100,17 +104,16 @@ class MemoryController:
         for channel in range(self.config.channels):
             self._bus_free_ns[channel] = 0.0
             for rank_index in range(self.geometry.ranks):
-                self._ranks[(channel, rank_index)] = Rank(
-                    timing=self.timing, num_banks=self.geometry.banks
-                )
-                for bank in range(self.geometry.banks):
-                    self._banks[(channel, rank_index, bank)] = _BankTracker()
+                rank = Rank(timing=self.timing, num_banks=self.geometry.banks)
+                self._ranks[(channel, rank_index)] = rank
+                for bank, state in enumerate(rank.banks):
+                    self._banks[(channel, rank_index, bank)] = state
 
     # ------------------------------------------------------------------
     # Scheduler bank-state view
     # ------------------------------------------------------------------
     def open_row(self, channel: int, rank: int, bank: int) -> int | None:
-        """Row currently open in a bank (scheduler view)."""
+        """Row currently open in a bank (scheduler view of the rank's state)."""
         return self._banks[(channel, rank, bank)].open_row
 
     # ------------------------------------------------------------------
@@ -215,15 +218,15 @@ class MemoryController:
         return request
 
     def _service(self, request: MemoryRequest) -> None:
-        decoded = self.mapper.decode(request.address)
+        decoded = request.coordinates(self.mapper)
         rank = self._ranks[(decoded.channel, decoded.rank)]
-        tracker = self._banks[(decoded.channel, decoded.rank, decoded.bank)]
+        bank = rank.banks[decoded.bank]
         start = max(self.now_ns, request.arrival_ns)
 
         if request.request_type.is_row_granular:
-            completion = self._service_row_op(request, decoded, rank, tracker, start)
+            completion = self._service_row_op(request, decoded, rank, bank, start)
         else:
-            completion = self._service_column_access(request, decoded, rank, tracker, start)
+            completion = self._service_column_access(request, decoded, rank, bank, start)
 
         request.issue_ns = start
         request.completion_ns = completion
@@ -233,28 +236,26 @@ class MemoryController:
     def _service_column_access(
         self,
         request: MemoryRequest,
-        decoded,
+        decoded: DecodedAddress,
         rank: Rank,
-        tracker: _BankTracker,
+        bank: Bank,
         start: float,
     ) -> float:
         is_read = request.request_type is RequestType.READ
         bank_index = decoded.bank
 
         # Row-buffer management (open-page policy).
-        if tracker.open_row is None:
+        if bank.open_row is None:
             self.stats.row_misses += 1
-            start = self._issue(rank, CommandType.ACTIVATE, bank_index, start, decoded.row)
-            tracker.open_row = decoded.row
-        elif tracker.open_row != decoded.row:
+            start = self._issue(rank, _ACTIVATE, bank_index, start, decoded.row)
+        elif bank.open_row != decoded.row:
             self.stats.row_conflicts += 1
-            start = self._issue(rank, CommandType.PRECHARGE, bank_index, start)
-            start = self._issue(rank, CommandType.ACTIVATE, bank_index, start, decoded.row)
-            tracker.open_row = decoded.row
+            start = self._issue(rank, _PRECHARGE, bank_index, start)
+            start = self._issue(rank, _ACTIVATE, bank_index, start, decoded.row)
         else:
             self.stats.row_hits += 1
 
-        command = CommandType.READ if is_read else CommandType.WRITE
+        command = _READ if is_read else _WRITE
         issue = max(
             rank.earliest_issue_time(command, bank_index, start),
             self._bus_free_ns[decoded.channel],
@@ -272,21 +273,22 @@ class MemoryController:
     def _service_row_op(
         self,
         request: MemoryRequest,
-        decoded,
+        decoded: DecodedAddress,
         rank: Rank,
-        tracker: _BankTracker,
+        bank: Bank,
         start: float,
     ) -> float:
-        command = {
-            RequestType.CODIC_ZERO_ROW: CommandType.CODIC,
-            RequestType.ROWCLONE_ZERO_ROW: CommandType.ROWCLONE_COPY,
-            RequestType.LISA_ZERO_ROW: CommandType.LISA_COPY,
-        }[request.request_type]
+        request_type = request.request_type
+        if request_type is RequestType.CODIC_ZERO_ROW:
+            command = _CODIC
+        elif request_type is RequestType.ROWCLONE_ZERO_ROW:
+            command = _ROWCLONE_COPY
+        else:
+            command = _LISA_COPY
         bank_index = decoded.bank
 
-        if tracker.open_row is not None:
-            start = self._issue(rank, CommandType.PRECHARGE, bank_index, start)
-            tracker.open_row = None
+        if bank.open_row is not None:
+            start = self._issue(rank, _PRECHARGE, bank_index, start)
 
         issue = rank.earliest_issue_time(command, bank_index, start)
         completion = rank.issue(command, bank_index, issue, row=decoded.row)
@@ -306,9 +308,9 @@ class MemoryController:
         issue = rank.earliest_issue_time(command, bank_index, not_before_ns)
         rank.issue(command, bank_index, issue, row=row)
         self.energy.record_command(command)
-        if command is CommandType.ACTIVATE:
+        if command is _ACTIVATE:
             self.stats.activations += 1
-        elif command is CommandType.PRECHARGE:
+        elif command is _PRECHARGE:
             self.stats.precharges += 1
         return issue
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.dram.address import AddressMapper, DecodedAddress
 
 
 class RequestType(enum.Enum):
@@ -22,16 +26,16 @@ class RequestType(enum.Enum):
     @property
     def is_row_granular(self) -> bool:
         """Whether the request operates on a whole DRAM row."""
-        return self in {
-            RequestType.CODIC_ZERO_ROW,
-            RequestType.ROWCLONE_ZERO_ROW,
-            RequestType.LISA_ZERO_ROW,
-        }
+        return (
+            self is RequestType.CODIC_ZERO_ROW
+            or self is RequestType.ROWCLONE_ZERO_ROW
+            or self is RequestType.LISA_ZERO_ROW
+        )
 
     @property
     def needs_data_bus(self) -> bool:
         """Whether the request transfers data over the memory channel."""
-        return self in {RequestType.READ, RequestType.WRITE}
+        return self is RequestType.READ or self is RequestType.WRITE
 
 
 _request_ids = itertools.count()
@@ -45,17 +49,30 @@ class MemoryRequest:
     address: int
     arrival_ns: float
     core_id: int = 0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
 
     # Filled in by the controller.
     issue_ns: float | None = None
     completion_ns: float | None = None
+    #: DRAM coordinates of ``address``, decoded once on first use.
+    decoded: DecodedAddress | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.address < 0:
             raise ValueError("address must be non-negative")
         if self.arrival_ns < 0:
             raise ValueError("arrival_ns must be non-negative")
+
+    def coordinates(self, mapper: AddressMapper) -> DecodedAddress:
+        """DRAM coordinates of ``address`` under ``mapper``, decoded on first use.
+
+        A request is serviced by one controller, so its first decode holds
+        for every later scheduling decision.
+        """
+        decoded = self.decoded
+        if decoded is None:
+            decoded = self.decoded = mapper.decode(self.address)
+        return decoded
 
     @property
     def latency_ns(self) -> float:

@@ -68,7 +68,7 @@ class FRFCFSScheduler:
         best: MemoryRequest | None = None
         best_key: tuple[int, float, int] | None = None
         for request in queue:
-            decoded = mapper.decode(request.address)
+            decoded = request.coordinates(mapper)
             open_row = bank_state.open_row(decoded.channel, decoded.rank, decoded.bank)
             is_hit = open_row is not None and open_row == decoded.row
             key = (0 if is_hit else 1, request.arrival_ns, request.request_id)

@@ -9,6 +9,7 @@ memory controller, banks and data bus.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -152,24 +153,30 @@ class System:
                 f"{len(traces)} traces provided but the system has "
                 f"{len(self.cores)} cores"
             )
-        iterators = [list(trace.events) for trace in traces]
-        positions = [0] * len(iterators)
-
-        def runnable() -> list[int]:
-            return [
-                index
-                for index, events in enumerate(iterators)
-                if positions[index] < len(events)
-            ]
-
-        active = runnable()
-        while active:
-            # Advance the core that is furthest behind in wall-clock time.
-            index = min(active, key=lambda i: self.cores[i].time_ns)
-            core = self.cores[index]
-            core.execute(iterators[index][positions[index]])
+        events = [list(trace.events) for trace in traces]
+        positions = [0] * len(events)
+        cores = self.cores
+        # Runnable cores keyed by (local time, index): the heap top is the
+        # core furthest behind, ties going to the lowest index.  Only the
+        # core that executes an event moves in time, so its entry is the only
+        # one to update.
+        active = [(cores[index].time_ns, index) for index, core_events
+                  in enumerate(events) if core_events]
+        heapq.heapify(active)
+        while len(active) > 1:
+            index = active[0][1]
+            core = cores[index]
+            core_events = events[index]
+            core.execute(core_events[positions[index]])
             positions[index] += 1
-            active = runnable()
+            if positions[index] == len(core_events):
+                heapq.heappop(active)
+            else:
+                heapq.heapreplace(active, (core.time_ns, index))
+        # The last running core has the memory system to itself.
+        for _, index in active:
+            for event in events[index][positions[index]:]:
+                cores[index].execute(event)
 
         # Drain any buffered writes / row operations left in the controller.
         # The drain time bounds the finish time of the workload as a whole

@@ -17,27 +17,19 @@ _LINEAR_COMPLEXITY_PI = (0.010417, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833)
 def _berlekamp_massey(block: np.ndarray) -> int:
     """Linear complexity of a bit block via Berlekamp-Massey.
 
-    The connection polynomials are stored as Python integers (bit i of the
-    integer is coefficient i), which makes the inner update a single shift
-    and XOR and keeps the test usable on long streams.
+    Polynomials and the recent stream are Python integers: bit i of ``c`` is
+    the connection coefficient c_i, and bit i of ``window`` is
+    s[index - i].  The discrepancy s[index] + sum_{i=1..l} c_i s[index - i]
+    (mod 2) is then the parity of ``c & window`` over bits 0..l (c_0 = 1).
     """
-    n = block.size
-    bits_int = [int(b) for b in block]
     c = 1  # C(x) = 1
     b = 1  # B(x) = 1
     l = 0
     m = -1
-    for index in range(n):
-        # Discrepancy: s[index] + sum_{i=1..l} c_i * s[index - i]  (mod 2).
-        discrepancy = bits_int[index]
-        connection = c >> 1
-        i = 1
-        while connection and i <= l:
-            if connection & 1:
-                discrepancy ^= bits_int[index - i]
-            connection >>= 1
-            i += 1
-        if discrepancy:
+    window = 0
+    for index, bit in enumerate(block.tolist()):
+        window = (window << 1) | bit
+        if (c & window & ((1 << (l + 1)) - 1)).bit_count() & 1:
             temp = c
             c ^= b << (index - m)
             if l <= index // 2:

@@ -22,6 +22,32 @@ DEFAULT_NONOVERLAPPING_TEMPLATE = (0, 0, 0, 0, 0, 0, 0, 0, 1)
 DEFAULT_OVERLAPPING_TEMPLATE_LENGTH = 9
 
 
+def _non_overlapping_counts(
+    bits: np.ndarray, template: tuple[int, ...], num_blocks: int
+) -> list[int]:
+    """Non-overlapping matches of ``template`` in each of ``num_blocks`` blocks.
+
+    One windowed compare finds every match position; a greedy left-to-right
+    pass over those positions then counts a match and skips the ``m`` bits it
+    covers, as the test's scan does.
+    """
+    m = len(template)
+    block_size = bits.size // num_blocks
+    blocks = bits[: num_blocks * block_size].reshape(num_blocks, block_size)
+    windows = np.lib.stride_tricks.sliding_window_view(blocks, m, axis=1)
+    matches = np.all(windows == np.asarray(template, dtype=np.int8), axis=2)
+    counts = []
+    for block_matches in matches:
+        count = 0
+        next_free = 0
+        for position in np.flatnonzero(block_matches).tolist():
+            if position >= next_free:
+                count += 1
+                next_free = position + m
+        counts.append(count)
+    return counts
+
+
 def non_overlapping_template_matching(
     bits: np.ndarray,
     template: tuple[int, ...] = DEFAULT_NONOVERLAPPING_TEMPLATE,
@@ -36,20 +62,7 @@ def non_overlapping_template_matching(
         return NISTTestResult(
             name="non_overlapping_template_matching", p_value=0.0, applicable=False
         )
-    template_arr = np.asarray(template, dtype=np.int8)
-
-    counts = []
-    for index in range(num_blocks):
-        block = bits[index * block_size : (index + 1) * block_size]
-        count = 0
-        position = 0
-        while position <= block_size - m:
-            if np.array_equal(block[position : position + m], template_arr):
-                count += 1
-                position += m
-            else:
-                position += 1
-        counts.append(count)
+    counts = _non_overlapping_counts(bits, template, num_blocks)
 
     mean = (block_size - m + 1) / (2.0 ** m)
     variance = block_size * (1.0 / 2.0 ** m - (2.0 * m - 1.0) / 2.0 ** (2 * m))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dram.address import AddressMapper, DecodedAddress
@@ -152,3 +153,64 @@ class TestAddressMapper:
             assert 0 <= decoded.row < 1024
             assert 0 <= decoded.column < 128
             assert isinstance(decoded, DecodedAddress)
+
+
+def _reference_decode(mapper: AddressMapper, physical_address: int) -> DecodedAddress:
+    """Divide/mod decode straight from the geometry, radix by radix."""
+    geometry = mapper.geometry
+    columns_per_row = geometry.row_bytes // mapper.column_bytes
+    offset = physical_address % mapper.column_bytes
+    line = physical_address // mapper.column_bytes
+    column, line = line % columns_per_row, line // columns_per_row
+    bank, line = line % geometry.banks, line // geometry.banks
+    rank, line = line % geometry.ranks, line // geometry.ranks
+    channel, line = line % mapper.channels, line // mapper.channels
+    return DecodedAddress(channel=channel, rank=rank, bank=bank, row=line,
+                          column=column, byte_offset=offset)
+
+
+class TestAddressMapperRadices:
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("column_bytes", [64, 128])
+    def test_decode_matches_reference(self, channels, column_bytes):
+        geometry = ModuleGeometry(
+            chip=DRAMGeometry(banks=8, rows_per_bank=256, row_bits=8192),
+            chips_per_rank=8,
+            ranks=2,
+        )
+        mapper = AddressMapper(geometry=geometry, channels=channels,
+                               column_bytes=column_bytes)
+        capacity = mapper.capacity_bytes
+        assert capacity == geometry.capacity_bytes * channels
+        rng = np.random.default_rng(channels * 1000 + column_bytes)
+        addresses = [0, 1, column_bytes - 1, column_bytes, geometry.row_bytes,
+                     capacity // 2, capacity - 1]
+        addresses += [int(a) for a in rng.integers(0, capacity, 500)]
+        for address in addresses:
+            decoded = mapper.decode(address)
+            assert decoded == _reference_decode(mapper, address)
+            assert mapper.encode(decoded) == address
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_out_of_range_rejected(self, channels):
+        geometry = ModuleGeometry(
+            chip=DRAMGeometry(banks=8, rows_per_bank=64, row_bits=8192), ranks=2
+        )
+        mapper = AddressMapper(geometry=geometry, channels=channels)
+        mapper.decode(mapper.capacity_bytes - 1)
+        for address in (-1, mapper.capacity_bytes, mapper.capacity_bytes + 64):
+            with pytest.raises(ValueError, match="outside module capacity"):
+                mapper.decode(address)
+
+    def test_row_overflow_rejected(self):
+        # 12-bit chip rows: the chip capacity (2 x 12 bits = 3 bytes) exceeds
+        # banks x rows x whole row bytes (2 bytes), so the last byte decodes
+        # to a row past the end of the bank.
+        geometry = ModuleGeometry(
+            chip=DRAMGeometry(banks=2, rows_per_bank=1, row_bits=12), chips_per_rank=1
+        )
+        mapper = AddressMapper(geometry=geometry, column_bytes=1)
+        assert mapper.capacity_bytes == 3
+        assert mapper.decode(1).row == 0
+        with pytest.raises(ValueError, match="beyond 1 rows per bank"):
+            mapper.decode(2)
